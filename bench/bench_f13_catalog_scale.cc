@@ -129,7 +129,7 @@ double TimeSelectMs(Database& db, const std::string& sql, int iters) {
   for (int i = 0; i < iters; ++i) {
     auto t0 = std::chrono::steady_clock::now();
     Result<QueryResult> r =
-        ExecuteSelect(*stmt->select, lookup, nullptr, {true});
+        ExecuteSelect(*stmt->select, lookup, nullptr);
     if (!r.ok()) return -1;
     benchmark::DoNotOptimize(r->rows.size());
     double ms = SecondsSince(t0) * 1000.0;
@@ -287,7 +287,7 @@ void BM_ColumnarAggregate(benchmark::State& state) {
     return db->GetTable(name);
   };
   for (auto _ : state) {
-    auto r = ExecuteSelect(*stmt->select, lookup, nullptr, {true});
+    auto r = ExecuteSelect(*stmt->select, lookup, nullptr);
     benchmark::DoNotOptimize(r.ok());
   }
 }

@@ -18,6 +18,7 @@
 #include "db/database.h"
 #include "db/executor.h"
 #include "db/parser.h"
+#include "testing/naive_executor.h"
 
 #ifndef EASIA_BENCH_REV
 #define EASIA_BENCH_REV "unknown"
@@ -201,10 +202,8 @@ int RunReproduction(const Config& cfg, bool smoke) {
     TableLookup lookup = [&](const std::string& name) {
       return db->GetTable(name);
     };
-    ExecuteOptions naive;
-    naive.use_planner = false;
     Result<QueryResult> r =
-        ExecuteSelect(*stmt->select, lookup, nullptr, naive);
+        easia::testing::ExecuteSelectNaive(*stmt->select, lookup);
     if (!r.ok()) {
       ++violations;
     } else {

@@ -14,6 +14,7 @@
 #include "db/database.h"
 #include "db/executor.h"
 #include "db/parser.h"
+#include "testing/naive_executor.h"
 
 namespace {
 
@@ -60,9 +61,10 @@ std::unique_ptr<Database> MakeCatalogue(size_t datasets) {
 }
 
 /// Milliseconds for the best of `iters` runs of `select_sql` through
-/// ExecuteSelect with the given planner setting. Negative when skipped.
+/// ExecuteSelect (`planned`) or the naive reference executor. Negative
+/// when skipped.
 double TimeSelectMs(Database& db, const std::string& select_sql,
-                    bool use_planner, int iters) {
+                    bool planned, int iters) {
   Result<Statement> stmt = ParseSql(select_sql);
   if (!stmt.ok() || stmt->kind != Statement::Kind::kSelect) return -1;
   TableLookup lookup = [&db](const std::string& name) {
@@ -72,7 +74,8 @@ double TimeSelectMs(Database& db, const std::string& select_sql,
   for (int i = 0; i < iters; ++i) {
     auto t0 = std::chrono::steady_clock::now();
     Result<QueryResult> r =
-        ExecuteSelect(*stmt->select, lookup, nullptr, {use_planner});
+        planned ? ExecuteSelect(*stmt->select, lookup, nullptr)
+                : easia::testing::ExecuteSelectNaive(*stmt->select, lookup);
     auto t1 = std::chrono::steady_clock::now();
     if (!r.ok()) return -1;
     benchmark::DoNotOptimize(r->rows.size());
@@ -163,7 +166,7 @@ void BM_PlannedJoinWithFilter(benchmark::State& state) {
     return db->GetTable(name);
   };
   for (auto _ : state) {
-    auto r = ExecuteSelect(*stmt->select, lookup, nullptr, {true});
+    auto r = ExecuteSelect(*stmt->select, lookup, nullptr);
     benchmark::DoNotOptimize(r.ok());
   }
 }
@@ -180,7 +183,7 @@ void BM_FkBrowse(benchmark::State& state) {
     return db->GetTable(name);
   };
   for (auto _ : state) {
-    auto r = ExecuteSelect(*stmt->select, lookup, nullptr, {true});
+    auto r = ExecuteSelect(*stmt->select, lookup, nullptr);
     benchmark::DoNotOptimize(r.ok());
   }
 }

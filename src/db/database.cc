@@ -558,78 +558,28 @@ Result<QueryResult> Database::ExecDropTable(const DropTableStmt& stmt,
   return DmlResult(0);
 }
 
-Result<Row> Database::ValidateAndCoerce(const TableDef& def, Row row) const {
-  for (size_t i = 0; i < def.columns.size(); ++i) {
-    const ColumnDef& col = def.columns[i];
-    if (row[i].is_null()) {
-      if (col.not_null || def.IsPrimaryKeyColumn(col.name)) {
-        return Status::ConstraintViolation("column " + def.name + "." +
-                                           col.name + " may not be NULL");
-      }
-      continue;
-    }
-    EASIA_ASSIGN_OR_RETURN(row[i], row[i].CoerceTo(col.type));
-    if (col.type == DataType::kVarchar && col.size > 0 &&
-        row[i].AsString().size() > col.size) {
-      return Status::ConstraintViolation(
-          StrPrintf("value too long for %s.%s (max %zu)", def.name.c_str(),
-                    col.name.c_str(), col.size));
-    }
-  }
-  return row;
-}
-
 Status Database::CheckForeignKeysOnWrite(const TableDef& def,
                                          const Row& row) const {
   if (!options_.enforce_foreign_keys) return Status::OK();
-  for (const ForeignKeyDef& fk : def.foreign_keys) {
-    std::vector<Value> key_values;
-    bool any_null = false;
-    for (const std::string& col : fk.columns) {
-      EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col));
-      if (row[idx].is_null()) {
-        any_null = true;
-        break;
-      }
-      key_values.push_back(row[idx]);
-    }
-    if (any_null) continue;  // SQL: NULL FK values are not checked
-    EASIA_ASSIGN_OR_RETURN(const Table* parent, GetTable(fk.ref_table));
-    Result<RowId> found = parent->FindUnique(fk.ref_columns, key_values);
-    if (!found.ok()) {
-      return Status::ConstraintViolation(
-          "foreign key violation: no row in " + fk.ref_table + " for " +
-          def.name + "(" + Join(fk.columns, ",") + ")");
-    }
-  }
-  return Status::OK();
+  return db::CheckForeignKeys(
+      def, row,
+      [this](const ForeignKeyDef& fk,
+             const std::vector<Value>& key) -> Result<bool> {
+        EASIA_ASSIGN_OR_RETURN(const Table* parent, GetTable(fk.ref_table));
+        return parent->FindUnique(fk.ref_columns, key).ok();
+      });
 }
 
 Status Database::CheckNoChildren(const TableDef& def, const Row& old_row,
                                  const Row* new_row) const {
   if (!options_.enforce_foreign_keys) return Status::OK();
-  for (const ColumnDef& col : def.columns) {
-    std::vector<InboundReference> refs =
-        catalog_.ReferencesTo(def.name, col.name);
-    if (refs.empty()) continue;
-    EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col.name));
-    const Value& old_value = old_row[idx];
-    if (old_value.is_null()) continue;
-    if (new_row != nullptr && (*new_row)[idx].Equals(old_value)) {
-      continue;  // value unchanged; children unaffected
-    }
-    for (const InboundReference& ref : refs) {
-      EASIA_ASSIGN_OR_RETURN(const Table* child, GetTable(ref.from_table));
-      EASIA_ASSIGN_OR_RETURN(size_t child_idx,
-                             child->def().ColumnIndex(ref.from_column));
-      if (child->AnyRowWithValue(child_idx, old_value)) {
-        return Status::ConstraintViolation(
-            "row is referenced by " + ref.from_table + "." + ref.from_column +
-            " (RESTRICT)");
-      }
-    }
-  }
-  return Status::OK();
+  return db::CheckNoChildren(
+      catalog_, def, old_row, new_row,
+      [this](const InboundReference& ref, const TableDef&, size_t column,
+             const Value& value) -> Result<bool> {
+        EASIA_ASSIGN_OR_RETURN(const Table* child, GetTable(ref.from_table));
+        return child->AnyRowWithValue(column, value);
+      });
 }
 
 Status Database::PrepareDatalinkChange(const ColumnDef& col,
@@ -691,7 +641,7 @@ Result<QueryResult> Database::ExecInsert(const InsertStmt& stmt,
       EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*value_exprs[i], env));
       row[positions[i]] = std::move(v);
     }
-    EASIA_ASSIGN_OR_RETURN(row, ValidateAndCoerce(def, std::move(row)));
+    EASIA_ASSIGN_OR_RETURN(row, CoerceRow(def, std::move(row)));
     EASIA_RETURN_IF_ERROR(CheckForeignKeysOnWrite(def, row));
     // SQL/MED link intents (may veto when the file is missing/linked).
     for (size_t i = 0; i < def.columns.size(); ++i) {
@@ -758,7 +708,7 @@ Result<QueryResult> Database::ExecUpdate(const UpdateStmt& stmt,
       EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, env));
       new_row[idx] = std::move(v);
     }
-    EASIA_ASSIGN_OR_RETURN(new_row, ValidateAndCoerce(def, std::move(new_row)));
+    EASIA_ASSIGN_OR_RETURN(new_row, CoerceRow(def, std::move(new_row)));
     EASIA_RETURN_IF_ERROR(CheckForeignKeysOnWrite(def, new_row));
     EASIA_RETURN_IF_ERROR(CheckNoChildren(def, old_row, &new_row));
     for (size_t i = 0; i < def.columns.size(); ++i) {
@@ -877,7 +827,7 @@ Result<QueryResult> Database::ExecCopy(const CopyStmt& stmt,
     rec.bulk_rows.reserve(chunk.size());
     txn_->undo.reserve(txn_->undo.size() + chunk.size());
     auto load_row = [&](Row raw) -> Status {
-      EASIA_ASSIGN_OR_RETURN(Row row, ValidateAndCoerce(def, std::move(raw)));
+      EASIA_ASSIGN_OR_RETURN(Row row, CoerceRow(def, std::move(raw)));
       EASIA_RETURN_IF_ERROR(CheckForeignKeysOnWrite(def, row));
       for (size_t i = 0; i < def.columns.size(); ++i) {
         EASIA_RETURN_IF_ERROR(

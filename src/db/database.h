@@ -307,12 +307,9 @@ class Database {
   /// Applies one committed WAL operation during recovery.
   Status ApplyWalOp(const WalRecord& op);
 
-  /// Validates a row against NOT NULL / VARCHAR size, coercing values.
-  Result<Row> ValidateAndCoerce(const TableDef& def, Row row) const;
-  /// FK child-side check: every FK value must have a parent.
+  /// The shared FK rules (db/schema.h) probed against local tables; no-ops
+  /// when enforce_foreign_keys is off.
   Status CheckForeignKeysOnWrite(const TableDef& def, const Row& row) const;
-  /// FK parent-side check: no children may reference `row`'s old values
-  /// being removed/changed.
   Status CheckNoChildren(const TableDef& def, const Row& old_row,
                          const Row* new_row) const;
   /// SQL/MED side effects for a changed datalink column value.

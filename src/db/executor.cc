@@ -5,7 +5,6 @@
 #include <cmath>
 #include <functional>
 #include <map>
-#include <set>
 
 #include "common/string_util.h"
 #include "db/database.h"
@@ -37,6 +36,8 @@ Result<size_t> ResolveColumn(const std::vector<ColumnBinding>& schema,
   }
   return found;
 }
+
+}  // namespace
 
 Result<Value> EvalBinary(Expr::Op op, const Value& lhs, const Value& rhs) {
   // Logical connectives use SQL-ish semantics with NULL as unknown.
@@ -111,6 +112,8 @@ Result<Value> EvalBinary(Expr::Op op, const Value& lhs, const Value& rhs) {
   }
 }
 
+namespace {
+
 Result<Value> EvalCall(const Expr& expr, const EvalEnv& env) {
   if (IsAggregateFunction(expr.func)) {
     return Status::InvalidArgument("aggregate function " + expr.func +
@@ -173,59 +176,6 @@ Result<Value> EvalCall(const Expr& expr, const EvalEnv& env) {
     return Value::Null();
   }
   return Status::Unimplemented("unknown function " + expr.func);
-}
-
-/// Collects top-level AND-ed `column = literal` conjuncts of `expr` into
-/// `out` (column name -> literal). Other conjuncts are ignored (they are
-/// still applied by the generic WHERE filter).
-void CollectEqualityConjuncts(const Expr& expr, const std::string& alias,
-                              std::map<std::string, Value>* out) {
-  if (expr.kind == Expr::Kind::kBinary && expr.op == Expr::Op::kAnd) {
-    CollectEqualityConjuncts(*expr.left, alias, out);
-    CollectEqualityConjuncts(*expr.right, alias, out);
-    return;
-  }
-  if (expr.kind != Expr::Kind::kBinary || expr.op != Expr::Op::kEq) return;
-  const Expr* column = nullptr;
-  const Expr* literal = nullptr;
-  for (const Expr* side : {expr.left.get(), expr.right.get()}) {
-    if (side->kind == Expr::Kind::kColumn) column = side;
-    if (side->kind == Expr::Kind::kLiteral) literal = side;
-  }
-  if (column == nullptr || literal == nullptr) return;
-  if (!column->table.empty() && !EqualsIgnoreCase(column->table, alias)) {
-    return;
-  }
-  out->emplace(ToUpper(column->column), literal->literal);
-}
-
-/// Point-lookup fast path: for a single-table query whose WHERE pins every
-/// primary-key column with `=` literals, fetch the row through the unique
-/// index instead of scanning. This is the shape every hyperlink-browse and
-/// /object click produces. Returns true when it applied.
-bool TryUniqueLookup(const SelectStmt& stmt, const Table& table,
-                     std::vector<Row>* rows) {
-  if (stmt.from.size() != 1 || stmt.where == nullptr) return false;
-  const TableDef& def = table.def();
-  if (def.primary_key.empty()) return false;
-  std::map<std::string, Value> equalities;
-  CollectEqualityConjuncts(*stmt.where, stmt.from[0].alias, &equalities);
-  std::vector<Value> key_values;
-  for (const std::string& pk : def.primary_key) {
-    auto it = equalities.find(ToUpper(pk));
-    if (it == equalities.end() || it->second.is_null()) return false;
-    // Coerce the literal to the column type so index keys agree.
-    const ColumnDef* col = def.FindColumn(pk);
-    Result<Value> coerced = it->second.CoerceTo(col->type);
-    if (!coerced.ok()) return false;
-    key_values.push_back(std::move(*coerced));
-  }
-  Result<RowId> id = table.FindUnique(def.primary_key, key_values);
-  if (id.ok()) {
-    Result<Row> row = table.Get(*id);
-    if (row.ok()) rows->push_back(std::move(*row));
-  }
-  return true;  // applied (possibly zero rows)
 }
 
 }  // namespace
@@ -292,184 +242,6 @@ Result<Value> EvalExpr(const Expr& expr, const EvalEnv& env) {
 
 namespace {
 
-/// Evaluates an expression that may contain aggregate calls over a group of
-/// rows. Non-aggregate subtrees evaluate on the group's first row.
-Result<Value> EvalAggregate(const Expr& expr,
-                            const std::vector<ColumnBinding>& schema,
-                            const std::vector<const Row*>& group) {
-  if (expr.kind == Expr::Kind::kCall && IsAggregateFunction(expr.func)) {
-    if (expr.func == "COUNT" && expr.star) {
-      return Value::Integer(static_cast<int64_t>(group.size()));
-    }
-    if (expr.args.size() != 1) {
-      return Status::InvalidArgument(expr.func + " takes one argument");
-    }
-    int64_t count = 0;
-    // SUM/AVG accumulate twice: exactly in 128-bit integer arithmetic and
-    // approximately in double. The wide total is authoritative while every
-    // value was integer-kind, and narrows back to INTEGER when it fits
-    // int64 (degrading to DOUBLE past the rails); mixed-kind input
-    // degrades to the double total. The rule is order-independent, so
-    // per-shard partial sums merge exactly (src/db/shard). Identical rule
-    // to the columnar AggregateScan kernel — the differential-fuzz suite
-    // holds the two to bit-equality.
-    double sum = 0;
-    __int128 isum = 0;
-    bool all_int = true;
-    Value min_v = Value::Null();
-    Value max_v = Value::Null();
-    for (const Row* row : group) {
-      EvalEnv env{&schema, row};
-      EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr.args[0], env));
-      if (v.is_null()) continue;
-      ++count;
-      if (v.IsNumericKind()) {
-        sum += v.AsDouble();
-        if (v.type() == DataType::kDouble) {
-          all_int = false;
-        } else {
-          isum += v.AsInt();
-        }
-      } else if (expr.func == "SUM" || expr.func == "AVG") {
-        return Status::InvalidArgument(expr.func + " over non-numeric column");
-      }
-      if (min_v.is_null() || v.Compare(min_v) < 0) min_v = v;
-      if (max_v.is_null() || v.Compare(max_v) > 0) max_v = v;
-    }
-    if (expr.func == "COUNT") return Value::Integer(count);
-    if (count == 0) return Value::Null();
-    if (expr.func == "SUM") return FinishSum(all_int, isum, sum);
-    if (expr.func == "AVG") return FinishAvg(all_int, isum, sum, count);
-    if (expr.func == "MIN") return min_v;
-    if (expr.func == "MAX") return max_v;
-  }
-  // Recurse; leaves evaluate against the first row.
-  switch (expr.kind) {
-    case Expr::Kind::kBinary: {
-      EASIA_ASSIGN_OR_RETURN(Value l, EvalAggregate(*expr.left, schema, group));
-      EASIA_ASSIGN_OR_RETURN(Value r,
-                             EvalAggregate(*expr.right, schema, group));
-      return EvalBinary(expr.op, l, r);
-    }
-    case Expr::Kind::kUnary:
-    case Expr::Kind::kIsNull:
-    case Expr::Kind::kInList:
-    case Expr::Kind::kCall:
-    case Expr::Kind::kColumn:
-    case Expr::Kind::kLiteral: {
-      if (group.empty()) return Value::Null();
-      EvalEnv env{&schema, group[0]};
-      return EvalExpr(expr, env);
-    }
-  }
-  return Status::Internal("bad aggregate expression");
-}
-
-}  // namespace
-
-std::string DefaultItemName(const SelectItem& item, size_t index) {
-  if (!item.alias.empty()) return item.alias;
-  if (item.expr != nullptr && item.expr->kind == Expr::Kind::kColumn) {
-    return item.expr->column;
-  }
-  if (item.expr != nullptr) return item.expr->ToString();
-  return StrPrintf("col%zu", index + 1);
-}
-
-DataType GuessItemType(const Expr& expr,
-                       const std::vector<ColumnBinding>& schema) {
-  if (expr.kind == Expr::Kind::kColumn) {
-    for (const ColumnBinding& b : schema) {
-      if ((expr.table.empty() || EqualsIgnoreCase(b.table_alias, expr.table)) &&
-          EqualsIgnoreCase(b.column, expr.column)) {
-        return b.type;
-      }
-    }
-  }
-  if (expr.kind == Expr::Kind::kLiteral) return expr.literal.type();
-  if (expr.kind == Expr::Kind::kCall) {
-    if (expr.func == "COUNT" || expr.func == "LENGTH") {
-      return DataType::kInteger;
-    }
-    if (expr.func == "AVG") return DataType::kDouble;
-  }
-  return DataType::kVarchar;
-}
-
-namespace {
-
-const ColumnDef* SourceColumnDef(const Expr& expr,
-                                 const std::vector<ColumnBinding>& schema) {
-  if (expr.kind != Expr::Kind::kColumn) return nullptr;
-  for (const ColumnBinding& b : schema) {
-    if ((expr.table.empty() || EqualsIgnoreCase(b.table_alias, expr.table)) &&
-        EqualsIgnoreCase(b.column, expr.column)) {
-      return b.def;
-    }
-  }
-  return nullptr;
-}
-
-/// Legacy row production: materialised nested-loop joins left to right,
-/// then the whole WHERE as one filter. Kept as the reference
-/// implementation for planner equivalence tests and benchmarks.
-Status BuildRowsNaive(const SelectStmt& stmt, const TableLookup& lookup,
-                      std::vector<ColumnBinding>* schema_out,
-                      std::vector<Row>* rows_out) {
-  std::vector<ColumnBinding> schema;
-  std::vector<Row> rows;
-  bool first = true;
-  for (const TableRef& ref : stmt.from) {
-    EASIA_ASSIGN_OR_RETURN(const Table* table, lookup(ref.table));
-    std::vector<ColumnBinding> add;
-    for (const ColumnDef& col : table->def().columns) {
-      add.push_back({ref.alias, col.name, col.type, &col});
-    }
-    std::vector<ColumnBinding> new_schema = schema;
-    new_schema.insert(new_schema.end(), add.begin(), add.end());
-    std::vector<Row> new_rows;
-    if (first) {
-      if (!TryUniqueLookup(stmt, *table, &new_rows)) {
-        table->ForEachRow(
-            [&new_rows](RowId, const Row& row) { new_rows.push_back(row); });
-      }
-    } else {
-      std::vector<Row> right_rows;
-      table->ForEachRow([&right_rows](RowId, const Row& row) {
-        right_rows.push_back(row);
-      });
-      for (const Row& left : rows) {
-        for (const Row& right : right_rows) {
-          Row combined = left;
-          combined.insert(combined.end(), right.begin(), right.end());
-          if (ref.join_condition != nullptr) {
-            EvalEnv env{&new_schema, &combined};
-            EASIA_ASSIGN_OR_RETURN(Value cond,
-                                   EvalExpr(*ref.join_condition, env));
-            if (!IsTruthy(cond)) continue;
-          }
-          new_rows.push_back(std::move(combined));
-        }
-      }
-    }
-    schema = std::move(new_schema);
-    rows = std::move(new_rows);
-    first = false;
-  }
-  if (stmt.where != nullptr) {
-    std::vector<Row> filtered;
-    for (Row& row : rows) {
-      EvalEnv env{&schema, &row};
-      EASIA_ASSIGN_OR_RETURN(Value cond, EvalExpr(*stmt.where, env));
-      if (IsTruthy(cond)) filtered.push_back(std::move(row));
-    }
-    rows = std::move(filtered);
-  }
-  *schema_out = std::move(schema);
-  *rows_out = std::move(rows);
-  return Status::OK();
-}
-
 /// Accumulates wall time into `*slot` for the guard's lifetime (null slot:
 /// inert). Used for per-operator profile timings.
 struct TimeGuard {
@@ -491,7 +263,8 @@ struct TimeGuard {
 /// hash, index-loop or nested-loop joins, residual WHERE, and optional
 /// early cutoff once LIMIT(+OFFSET) rows survive every filter.
 ///
-/// Output order matches BuildRowsNaive exactly. For FROM-order plans the
+/// Output order matches the naive nested-loop reference executor
+/// (testing::ExecuteSelectNaive) exactly. For FROM-order plans the
 /// production is naturally left-major, RowId-minor: index fetches return
 /// RowIds ascending, and hash buckets preserve insertion order for equal
 /// keys. When the cost-based planner reordered the joins, each produced
@@ -798,272 +571,62 @@ Status BuildRowsPlanned(const SelectPlan& plan,
   return Status::OK();
 }
 
-/// Everything downstream of row production: projection, aggregates,
-/// DISTINCT, ORDER BY, OFFSET/LIMIT, DATALINK rewrite. `rows` must already
-/// be WHERE-filtered.
-Result<QueryResult> FinishSelect(const SelectStmt& stmt,
-                                 const std::vector<ColumnBinding>& schema,
-                                 std::vector<Row> rows,
-                                 const DatalinkRewriter& rewriter) {
-  // --- Expand projection items ---
-  struct OutputItem {
-    std::string name;
-    DataType type;
-    const ColumnDef* source_def;
-    const Expr* expr;  // null only for expanded stars (uses column index)
-    size_t direct_index;  // when expr == nullptr
-  };
-  std::vector<std::unique_ptr<Expr>> synthesized;
-  std::vector<OutputItem> outputs;
-  for (size_t i = 0; i < stmt.items.size(); ++i) {
-    const SelectItem& item = stmt.items[i];
-    if (item.star) {
-      for (size_t c = 0; c < schema.size(); ++c) {
-        if (!item.star_table.empty() &&
-            !EqualsIgnoreCase(schema[c].table_alias, item.star_table)) {
-          continue;
-        }
-        outputs.push_back({schema[c].column, schema[c].type, schema[c].def,
-                           nullptr, c});
-      }
-      if (!item.star_table.empty() && outputs.empty()) {
-        return Status::NotFound("unknown table in select list: " +
-                                item.star_table);
-      }
-      continue;
-    }
-    outputs.push_back({DefaultItemName(item, i),
-                       GuessItemType(*item.expr, schema),
-                       SourceColumnDef(*item.expr, schema), item.expr.get(),
-                       0});
-  }
-  if (outputs.empty()) {
-    return Status::InvalidArgument("empty select list");
-  }
-
-  QueryResult result;
-  result.is_query = true;
-  for (const OutputItem& o : outputs) {
-    result.column_names.push_back(o.name);
-    result.column_types.push_back(o.type);
-  }
-
-  bool aggregate_query = !stmt.group_by.empty() || stmt.having != nullptr;
-  for (const SelectItem& item : stmt.items) {
-    if (item.expr != nullptr && item.expr->ContainsAggregate()) {
-      aggregate_query = true;
-    }
-  }
-
-  // Pair each output row with sort keys computed in the input environment
-  // (or group environment for aggregates).
-  struct ProjectedRow {
-    Row values;
-    Row sort_keys;
-  };
-  std::vector<ProjectedRow> projected;
-
-  auto compute_sort_keys = [&](const EvalEnv& env, const Row& out_values)
-      -> Result<Row> {
-    Row keys;
-    for (const OrderItem& item : stmt.order_by) {
-      // ORDER BY may reference an output alias or 1-based output position.
-      if (item.expr->kind == Expr::Kind::kColumn && item.expr->table.empty()) {
-        bool matched = false;
-        for (size_t i = 0; i < outputs.size(); ++i) {
-          if (EqualsIgnoreCase(outputs[i].name, item.expr->column)) {
-            keys.push_back(out_values[i]);
-            matched = true;
-            break;
-          }
-        }
-        if (matched) continue;
-      }
-      if (item.expr->kind == Expr::Kind::kLiteral &&
-          item.expr->literal.type() == DataType::kInteger) {
-        int64_t pos = item.expr->literal.AsInt();
-        if (pos >= 1 && static_cast<size_t>(pos) <= out_values.size()) {
-          keys.push_back(out_values[static_cast<size_t>(pos) - 1]);
-          continue;
-        }
-      }
-      EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*item.expr, env));
-      keys.push_back(std::move(v));
-    }
-    return keys;
-  };
-
-  if (aggregate_query) {
-    // Group rows by GROUP BY key (single group when absent).
-    std::map<std::string, std::vector<const Row*>> groups;
-    std::vector<std::string> group_order;
-    for (const Row& row : rows) {
-      EvalEnv env{&schema, &row};
-      std::string key;
-      for (const auto& g : stmt.group_by) {
-        EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, env));
-        PutLengthPrefixed(&key, v.ToKeyString());
-      }
-      auto [it, inserted] = groups.emplace(key, std::vector<const Row*>());
-      if (inserted) group_order.push_back(key);
-      it->second.push_back(&row);
-    }
-    if (groups.empty() && stmt.group_by.empty()) {
-      groups.emplace("", std::vector<const Row*>());
-      group_order.push_back("");
-    }
-    for (const std::string& key : group_order) {
-      const std::vector<const Row*>& group = groups[key];
-      if (stmt.having != nullptr) {
-        EASIA_ASSIGN_OR_RETURN(Value h,
-                               EvalAggregate(*stmt.having, schema, group));
-        if (!IsTruthy(h)) continue;
-      }
-      ProjectedRow out;
-      for (const OutputItem& o : outputs) {
-        if (o.expr == nullptr) {
-          // Star expansion in aggregate context: take from first row.
-          out.values.push_back(group.empty() ? Value::Null()
-                                             : (*group[0])[o.direct_index]);
-          continue;
-        }
-        EASIA_ASSIGN_OR_RETURN(Value v, EvalAggregate(*o.expr, schema, group));
-        out.values.push_back(std::move(v));
-      }
-      // Sort keys for aggregate rows: aggregate-aware evaluation.
-      for (const OrderItem& item : stmt.order_by) {
-        bool matched = false;
-        if (item.expr->kind == Expr::Kind::kColumn &&
-            item.expr->table.empty()) {
-          for (size_t i = 0; i < outputs.size(); ++i) {
-            if (EqualsIgnoreCase(outputs[i].name, item.expr->column)) {
-              out.sort_keys.push_back(out.values[i]);
-              matched = true;
-              break;
-            }
-          }
-        }
-        if (!matched) {
-          EASIA_ASSIGN_OR_RETURN(Value v,
-                                 EvalAggregate(*item.expr, schema, group));
-          out.sort_keys.push_back(std::move(v));
-        }
-      }
-      projected.push_back(std::move(out));
-    }
-  } else {
-    for (const Row& row : rows) {
-      EvalEnv env{&schema, &row};
-      ProjectedRow out;
-      for (const OutputItem& o : outputs) {
-        if (o.expr == nullptr) {
-          out.values.push_back(row[o.direct_index]);
-        } else {
-          EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*o.expr, env));
-          out.values.push_back(std::move(v));
-        }
-      }
-      EASIA_ASSIGN_OR_RETURN(out.sort_keys, compute_sort_keys(env, out.values));
-      projected.push_back(std::move(out));
-    }
-  }
-
-  // --- DISTINCT ---
-  if (stmt.distinct) {
-    std::set<std::string> seen;
-    std::vector<ProjectedRow> unique_rows;
-    for (ProjectedRow& pr : projected) {
-      std::string key;
-      for (const Value& v : pr.values) {
-        PutLengthPrefixed(&key, v.ToKeyString());
-      }
-      if (seen.insert(key).second) unique_rows.push_back(std::move(pr));
-    }
-    projected = std::move(unique_rows);
-  }
-
-  // --- ORDER BY (stable) ---
-  if (!stmt.order_by.empty()) {
-    std::stable_sort(projected.begin(), projected.end(),
-                     [&](const ProjectedRow& a, const ProjectedRow& b) {
-                       for (size_t i = 0; i < stmt.order_by.size(); ++i) {
-                         int c = a.sort_keys[i].Compare(b.sort_keys[i]);
-                         if (c != 0) {
-                           return stmt.order_by[i].descending ? c > 0 : c < 0;
-                         }
-                       }
-                       return false;
-                     });
-  }
-
-  // --- OFFSET / LIMIT ---
-  size_t begin = std::min<size_t>(static_cast<size_t>(std::max<int64_t>(
-                                      stmt.offset, 0)),
-                                  projected.size());
-  size_t end = projected.size();
-  if (stmt.limit >= 0) {
-    end = std::min(end, begin + static_cast<size_t>(stmt.limit));
-  }
-
-  // --- DATALINK presentation rewrite ---
-  for (size_t r = begin; r < end; ++r) {
-    Row& values = projected[r].values;
-    if (rewriter != nullptr) {
-      for (size_t c = 0; c < outputs.size(); ++c) {
-        const ColumnDef* def = outputs[c].source_def;
-        if (def != nullptr && def->type == DataType::kDatalink &&
-            !values[c].is_null()) {
-          EASIA_ASSIGN_OR_RETURN(std::string rewritten,
-                                 rewriter(*def, values[c].AsString()));
-          values[c] = Value::Datalink(std::move(rewritten));
-        }
-      }
-    }
-    result.rows.push_back(std::move(values));
-  }
-  return result;
-}
-
 /// Whole-query columnar aggregation: one AggregateScan kernel call replaces
-/// row materialisation, grouping and per-group expression walking. Only
-/// reached when the planner proved the query maps exactly onto the kernel
-/// (plan.aggregate.fast_path), so names, types and values agree with the
-/// FinishSelect row path.
+/// row materialisation and grouping. Only reached when the planner proved
+/// the query maps exactly onto the kernel (plan.aggregate.fast_path): the
+/// kernel's AggSpecs are then the statement's aggregate nodes in walk
+/// order, so FinishGroups reads them like row-path states.
 Result<QueryResult> ExecuteAggregateFast(const SelectStmt& stmt,
-                                         const SelectPlan& plan) {
+                                         const SelectPlan& plan,
+                                         const DatalinkRewriter& rewriter) {
   const ScanPlan& scan = plan.scans[0];
-  const store::ColumnStore* cs = scan.table->column_store();
   EASIA_ASSIGN_OR_RETURN(
-      std::vector<store::AggGroup> groups,
-      cs->AggregateScan(scan.kernel_predicates, plan.aggregate.group_by_cols,
-                        plan.aggregate.aggs));
-
+      std::vector<AggGroup> groups,
+      scan.table->column_store()->AggregateScan(scan.kernel_predicates,
+                                                plan.aggregate.group_by_cols,
+                                                plan.aggregate.aggs));
   std::vector<ColumnBinding> schema;
   for (const ColumnDef& col : scan.table->def().columns) {
     schema.push_back({scan.alias, col.name, col.type, &col});
   }
-  QueryResult result;
-  result.is_query = true;
-  for (size_t i = 0; i < stmt.items.size(); ++i) {
-    result.column_names.push_back(DefaultItemName(stmt.items[i], i));
-    result.column_types.push_back(GuessItemType(*stmt.items[i].expr, schema));
-  }
-  for (store::AggGroup& g : groups) {
-    Row out;
-    for (const AggregatePlan::Item& item : plan.aggregate.items) {
-      if (item.is_aggregate) {
-        out.push_back(std::move(g.aggregates[item.index]));
-      } else {
-        // Copied, not moved: a source column may appear in several items.
-        out.push_back(g.first_row[item.index]);
-      }
-    }
-    result.rows.push_back(std::move(out));
-  }
-  return result;
+  return FinishGroups(stmt, schema, CollectAggregateNodes(stmt),
+                      std::move(groups), rewriter);
 }
 
 }  // namespace
+
+Result<QueryResult> FinishSelect(const SelectStmt& stmt,
+                                 const std::vector<ColumnBinding>& schema,
+                                 std::vector<Row> rows,
+                                 const DatalinkRewriter& rewriter) {
+  std::vector<AggGroup> groups;
+  if (!IsAggregateQuery(stmt)) {
+    // Each row is its own group, with no aggregate state.
+    groups.reserve(rows.size());
+    for (Row& row : rows) groups.push_back({std::move(row), 1, {}});
+    return FinishGroups(stmt, schema, {}, std::move(groups), rewriter);
+  }
+  // Group by GROUP BY key (one group when absent), in first-seen order.
+  std::vector<const Expr*> nodes = CollectAggregateNodes(stmt);
+  std::map<std::string, size_t> group_of;
+  for (Row& row : rows) {
+    EvalEnv env{&schema, &row};
+    std::string key;
+    for (const auto& g : stmt.group_by) {
+      EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, env));
+      PutLengthPrefixed(&key, v.ToKeyString());
+    }
+    auto [it, inserted] = group_of.try_emplace(std::move(key), groups.size());
+    if (inserted) {
+      groups.emplace_back();
+      groups.back().aggs.resize(nodes.size());
+    }
+    AggGroup& group = groups[it->second];
+    AccumulateRow(nodes, env, &group);
+    if (inserted) group.first_row = std::move(row);
+  }
+  return FinishGroups(stmt, schema, nodes, std::move(groups), rewriter);
+}
 
 Result<QueryResult> ExecuteSelect(const SelectStmt& stmt,
                                   const TableLookup& lookup,
@@ -1075,12 +638,6 @@ Result<QueryResult> ExecuteSelect(const SelectStmt& stmt,
   PlanProfile* profile = options.profile;
   const auto t0 = std::chrono::steady_clock::now();
   auto run = [&]() -> Result<QueryResult> {
-    std::vector<ColumnBinding> schema;
-    std::vector<Row> rows;
-    if (!options.use_planner) {
-      EASIA_RETURN_IF_ERROR(BuildRowsNaive(stmt, lookup, &schema, &rows));
-      return FinishSelect(stmt, schema, std::move(rows), rewriter);
-    }
     PlannerOptions planner_options;
     planner_options.cost_based = options.cost_based;
     EASIA_ASSIGN_OR_RETURN(SelectPlan plan,
@@ -1101,8 +658,10 @@ Result<QueryResult> ExecuteSelect(const SelectStmt& stmt,
       TimeGuard tg(profile != nullptr && !profile->scans.empty()
                        ? &profile->scans[0].seconds
                        : nullptr);
-      return ExecuteAggregateFast(stmt, plan);
+      return ExecuteAggregateFast(stmt, plan, rewriter);
     }
+    std::vector<ColumnBinding> schema;
+    std::vector<Row> rows;
     EASIA_RETURN_IF_ERROR(
         BuildRowsPlanned(plan, &schema, &rows, profile, options.tracer));
     obs::Tracer::Scope span(options.tracer, "exec:finish");

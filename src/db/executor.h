@@ -3,11 +3,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "db/aggregate.h"
 #include "db/ast.h"
 #include "db/table.h"
 
@@ -41,49 +41,15 @@ struct EvalEnv {
 /// LOWER, LENGTH, ABS, SUBSTR(s, start[, len]), COALESCE.
 Result<Value> EvalExpr(const Expr& expr, const EvalEnv& env);
 
+/// Applies binary operator `op` to two evaluated operands.
+Result<Value> EvalBinary(Expr::Op op, const Value& lhs, const Value& rhs);
+
 /// Truthiness of a predicate result (NULL and false both reject).
 bool IsTruthy(const Value& value);
-
-/// SUM/AVG finalization rule shared by the row executor, the columnar
-/// AggregateScan kernel and the shard coordinator's partial-aggregate
-/// merge (src/db/shard). `isum` is the exact 128-bit total of the
-/// integer-kind inputs, `dsum` the running double total of all numeric
-/// inputs, `all_int` whether every non-NULL input was integer-kind. The
-/// rule is order-independent, so partial accumulators merged across
-/// shards finalize identically to a single-node pass.
-inline Value FinishSum(bool all_int, __int128 isum, double dsum) {
-  if (!all_int) return Value::Double(dsum);
-  constexpr __int128 kInt64Min = std::numeric_limits<int64_t>::min();
-  constexpr __int128 kInt64Max = std::numeric_limits<int64_t>::max();
-  if (isum >= kInt64Min && isum <= kInt64Max) {
-    return Value::Integer(static_cast<int64_t>(isum));
-  }
-  return Value::Double(static_cast<double>(isum));
-}
-
-inline Value FinishAvg(bool all_int, __int128 isum, double dsum,
-                       int64_t count) {
-  if (all_int) {
-    return Value::Double(static_cast<double>(isum) /
-                         static_cast<double>(count));
-  }
-  return Value::Double(dsum / static_cast<double>(count));
-}
-
-/// Output-column naming and typing rules for SELECT items. Shared with
-/// the shard coordinator's scatter/gather merge (src/db/shard) so merged
-/// results carry byte-identical column names and types.
-std::string DefaultItemName(const SelectItem& item, size_t index);
-DataType GuessItemType(const Expr& expr,
-                       const std::vector<ColumnBinding>& schema);
 
 /// Resolves tables by name for the executor.
 using TableLookup =
     std::function<Result<const Table*>(const std::string& name)>;
-
-/// Rewrites a DATALINK value for presentation (token form); nullable.
-using DatalinkRewriter = std::function<Result<std::string>(
-    const ColumnDef& def, const std::string& url)>;
 
 /// Per-operator execution profile, filled when ExecuteOptions::profile is
 /// set. Operators are indexed like SelectPlan::Describe() lines: `scans`
@@ -101,11 +67,8 @@ struct PlanProfile {
   double total_seconds = 0;
 };
 
-/// Execution knobs. `use_planner = false` selects the legacy path
-/// (materialised nested-loop joins, whole-WHERE filter) — kept for plan
-/// correctness tests and before/after benchmarks.
+/// Execution knobs.
 struct ExecuteOptions {
-  bool use_planner = true;
   /// Forwarded to PlannerOptions::cost_based: statistics-driven join
   /// order / strategy / build-side choices. False pins the static
   /// FROM-order plan shape.
@@ -130,6 +93,13 @@ Result<QueryResult> ExecuteSelect(const SelectStmt& stmt,
                                   const TableLookup& lookup,
                                   const DatalinkRewriter& rewriter,
                                   const ExecuteOptions& options = {});
+
+/// Everything downstream of row production over WHERE-filtered `rows`:
+/// grouping and aggregates, then FinishGroups (db/aggregate.h).
+Result<QueryResult> FinishSelect(const SelectStmt& stmt,
+                                 const std::vector<ColumnBinding>& schema,
+                                 std::vector<Row> rows,
+                                 const DatalinkRewriter& rewriter);
 
 }  // namespace easia::db
 

@@ -310,16 +310,13 @@ void PlanAggregateFastPath(const SelectStmt& stmt,
     group_cols.push_back(idx);
   }
   std::vector<store::AggSpec> aggs;
-  std::vector<AggregatePlan::Item> items;
   for (const SelectItem& item : stmt.items) {
     if (item.star || item.expr == nullptr) return;
     const Expr& e = *item.expr;
     size_t idx = 0;
     if (plain_column(e, &idx)) {
-      // The DATALINK presentation rewrite applies to direct column
-      // outputs, which the kernel result path does not run.
+      // Plain DATALINK outputs stay on the row path.
       if (def.columns[idx].type == DataType::kDatalink) return;
-      items.push_back({false, idx});
       continue;
     }
     if (e.kind != Expr::Kind::kCall || !IsAggregateFunction(e.func)) return;
@@ -348,13 +345,11 @@ void PlanAggregateFastPath(const SelectStmt& stmt,
         return;
       }
     }
-    items.push_back({true, aggs.size()});
     aggs.push_back(spec);
   }
   plan->aggregate.fast_path = true;
   plan->aggregate.group_by_cols = std::move(group_cols);
   plan->aggregate.aggs = std::move(aggs);
-  plan->aggregate.items = std::move(items);
 }
 
 std::string DescribeExprList(const std::vector<const Expr*>& exprs) {
@@ -811,12 +806,7 @@ Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
   }
 
   // --- Aggregation / cutoff flags (needed before the order choice) ---
-  bool aggregate_query = !stmt.group_by.empty() || stmt.having != nullptr;
-  for (const SelectItem& item : stmt.items) {
-    if (item.expr != nullptr && item.expr->ContainsAggregate()) {
-      aggregate_query = true;
-    }
-  }
+  const bool aggregate_query = IsAggregateQuery(stmt);
   bool cutoff_applies = stmt.limit >= 0 && stmt.order_by.empty() &&
                         !aggregate_query && !stmt.distinct;
 

@@ -88,16 +88,10 @@ struct JoinPlan {
 struct AggregatePlan {
   bool present = false;
   bool fast_path = false;
-  /// kernel inputs (fast_path only)
+  /// kernel inputs (fast_path only); `aggs` follows the select list's
+  /// aggregate calls in order
   std::vector<size_t> group_by_cols;
   std::vector<store::AggSpec> aggs;
-  /// Output mapping per select item: an aggregate slot (index into `aggs`)
-  /// or a table column fetched from the group's first row.
-  struct Item {
-    bool is_aggregate = false;
-    size_t index = 0;
-  };
-  std::vector<Item> items;
 };
 
 /// A planned SELECT: per-table access paths, join strategies, the residual

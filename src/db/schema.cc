@@ -230,4 +230,78 @@ const ForeignKeyDef* Catalog::ForeignKeyOn(const std::string& table,
   return nullptr;
 }
 
+Result<Row> CoerceRow(const TableDef& def, Row row) {
+  for (size_t i = 0; i < def.columns.size(); ++i) {
+    const ColumnDef& col = def.columns[i];
+    if (row[i].is_null()) {
+      if (col.not_null || def.IsPrimaryKeyColumn(col.name)) {
+        return Status::ConstraintViolation("column " + def.name + "." +
+                                           col.name + " may not be NULL");
+      }
+      continue;
+    }
+    EASIA_ASSIGN_OR_RETURN(row[i], row[i].CoerceTo(col.type));
+    if (col.type == DataType::kVarchar && col.size > 0 &&
+        row[i].AsString().size() > col.size) {
+      return Status::ConstraintViolation(
+          StrPrintf("value too long for %s.%s (max %zu)", def.name.c_str(),
+                    col.name.c_str(), col.size));
+    }
+  }
+  return row;
+}
+
+Status CheckForeignKeys(const TableDef& def, const Row& row,
+                        const ParentProbe& parent_exists) {
+  for (const ForeignKeyDef& fk : def.foreign_keys) {
+    std::vector<Value> key;
+    bool any_null = false;
+    for (const std::string& col : fk.columns) {
+      EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col));
+      if (row[idx].is_null()) {
+        any_null = true;
+        break;
+      }
+      key.push_back(row[idx]);
+    }
+    if (any_null) continue;
+    EASIA_ASSIGN_OR_RETURN(bool found, parent_exists(fk, key));
+    if (!found) {
+      return Status::ConstraintViolation(
+          "foreign key violation: no row in " + fk.ref_table + " for " +
+          def.name + "(" + Join(fk.columns, ",") + ")");
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckNoChildren(const Catalog& catalog, const TableDef& def,
+                       const Row& old_row, const Row* new_row,
+                       const ChildProbe& has_child) {
+  for (size_t idx = 0; idx < def.columns.size(); ++idx) {
+    std::vector<InboundReference> refs =
+        catalog.ReferencesTo(def.name, def.columns[idx].name);
+    if (refs.empty()) continue;
+    const Value& old_value = old_row[idx];
+    if (old_value.is_null()) continue;
+    if (new_row != nullptr && (*new_row)[idx].Equals(old_value)) {
+      continue;  // value unchanged; children unaffected
+    }
+    for (const InboundReference& ref : refs) {
+      EASIA_ASSIGN_OR_RETURN(const TableDef* child,
+                             catalog.GetTable(ref.from_table));
+      EASIA_ASSIGN_OR_RETURN(size_t child_idx,
+                             child->ColumnIndex(ref.from_column));
+      EASIA_ASSIGN_OR_RETURN(bool referenced,
+                             has_child(ref, *child, child_idx, old_value));
+      if (referenced) {
+        return Status::ConstraintViolation(
+            "row is referenced by " + ref.from_table + "." + ref.from_column +
+            " (RESTRICT)");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace easia::db

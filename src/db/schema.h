@@ -1,6 +1,8 @@
 #ifndef EASIA_DB_SCHEMA_H_
 #define EASIA_DB_SCHEMA_H_
 
+#include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -11,6 +13,9 @@
 #include "db/value.h"
 
 namespace easia::db {
+
+using Row = std::vector<Value>;
+using RowId = uint64_t;
 
 /// One column definition.
 struct ColumnDef {
@@ -59,6 +64,11 @@ struct TableDef {
   std::string ToSql() const;
 };
 
+/// Coerces every cell of `row` to its column's type and enforces NOT NULL
+/// (primary-key columns included) and VARCHAR size limits. The one row
+/// validation rule of every write path, single-node and sharded.
+Result<Row> CoerceRow(const TableDef& def, Row row);
+
 /// References to a table.column from other tables' foreign keys — the
 /// metadata behind EASIA's *primary key browsing* ("SIMULATION_KEY links to
 /// three tables where it appears as a foreign key").
@@ -91,6 +101,31 @@ class Catalog {
  private:
   std::map<std::string, TableDef> tables_;
 };
+
+/// Whether a row of `fk.ref_table` has `fk.ref_columns` equal to `key`.
+using ParentProbe = std::function<Result<bool>(const ForeignKeyDef& fk,
+                                               const std::vector<Value>& key)>;
+
+/// Checks the foreign keys of a written `row` of `def`. A key with a NULL
+/// column is not checked (SQL); any other key must exist per
+/// `parent_exists`. The single-node Database and the shard coordinator
+/// share this rule and differ only in the probe.
+Status CheckForeignKeys(const TableDef& def, const Row& row,
+                        const ParentProbe& parent_exists);
+
+/// Whether any row of table `child` holds `value` in column
+/// `child_column` (the column named by `ref`).
+using ChildProbe = std::function<Result<bool>(
+    const InboundReference& ref, const TableDef& child, size_t child_column,
+    const Value& value)>;
+
+/// RESTRICT: fails when a referenced value of `old_row` would disappear
+/// while `has_child` still finds a referencing row. `new_row` is the
+/// updated row, or null for a DELETE. NULL and unchanged values are
+/// skipped.
+Status CheckNoChildren(const Catalog& catalog, const TableDef& def,
+                       const Row& old_row, const Row* new_row,
+                       const ChildProbe& has_child);
 
 }  // namespace easia::db
 

@@ -7,6 +7,7 @@
 
 #include "common/coding.h"
 #include "common/string_util.h"
+#include "db/aggregate.h"
 #include "db/executor.h"
 #include "db/parser.h"
 #include "db/stats/table_stats.h"
@@ -85,54 +86,6 @@ int ResolveColumnOwner(const Expr& col, const std::vector<TableRef>& from,
   return -1;
 }
 
-/// Collects the aggregate calls reachable by the executor's merge-time
-/// walk, which recurses through binary operators only — every other node
-/// kind is a leaf evaluated against the group's first row. Returns false
-/// when an aggregate has a shape the scatter path cannot accumulate
-/// (argument-count errors are left to the gather path to reproduce).
-bool CollectAggregates(const Expr* e, std::vector<const Expr*>* out) {
-  if (e == nullptr) return true;
-  if (e->kind == Expr::Kind::kCall && IsAggregateFunction(e->func)) {
-    if (e->star) {
-      if (e->func != "COUNT") return false;
-      out->push_back(e);
-      return true;
-    }
-    if (e->args.size() != 1) return false;
-    out->push_back(e);
-    return true;
-  }
-  if (e->kind == Expr::Kind::kBinary) {
-    return CollectAggregates(e->left.get(), out) &&
-           CollectAggregates(e->right.get(), out);
-  }
-  return true;
-}
-
-/// Mirror of Database::ValidateAndCoerce (exact statuses and messages);
-/// the shard databases would run the same checks, but the coordinator
-/// must fail *before* any shard applies anything.
-Result<Row> CoerceRowForTable(const TableDef& def, Row row) {
-  for (size_t i = 0; i < def.columns.size(); ++i) {
-    const ColumnDef& col = def.columns[i];
-    if (row[i].is_null()) {
-      if (col.not_null || def.IsPrimaryKeyColumn(col.name)) {
-        return Status::ConstraintViolation("column " + def.name + "." +
-                                           col.name + " may not be NULL");
-      }
-      continue;
-    }
-    EASIA_ASSIGN_OR_RETURN(row[i], row[i].CoerceTo(col.type));
-    if (col.type == DataType::kVarchar && col.size > 0 &&
-        row[i].AsString().size() > col.size) {
-      return Status::ConstraintViolation(
-          StrPrintf("value too long for %s.%s (max %zu)", def.name.c_str(),
-                    col.name.c_str(), col.size));
-    }
-  }
-  return row;
-}
-
 /// Canonical key for a row's primary-key values (dedup / exclusion sets).
 std::string PkKey(const TableDef& def, const Row& row) {
   std::string key;
@@ -150,24 +103,12 @@ QueryResult DmlResult(size_t rows_affected) {
   return r;
 }
 
-/// Per-slot partial accumulator, mergeable across shards. Mirrors the
-/// executor's EvalAggregate accumulation exactly (null skip, __int128
-/// integer sums, Compare-based min/max).
-struct SlotAcc {
-  int64_t count = 0;
-  __int128 isum = 0;
-  double dsum = 0;
-  bool all_int = true;
-  Value min_v = Value::Null();
-  Value max_v = Value::Null();
-};
-
+/// A shard's partial group, or the coordinator's merge of several: the
+/// global insertion sequence of its first row orders merged groups like
+/// single-node first-seen order.
 struct PartialGroup {
-  int64_t rows = 0;  // COUNT(*) of the group
   uint64_t first_seq = UINT64_MAX;
-  bool has_first = false;
-  Row first_row;
-  std::vector<SlotAcc> slots;
+  AggGroup group;
 };
 
 }  // namespace
@@ -188,8 +129,7 @@ struct ShardCoordinator::SelectAnalysis {
   std::vector<bool> union_scanned;
   size_t scanned_count = 0;
   size_t pruned_count = 0;
-  /// Aggregate calls in walk order (items, HAVING, ORDER BY); scatter
-  /// accumulates one SlotAcc per entry.
+  /// CollectAggregateNodes(stmt); scatter keeps one AggState per entry.
   std::vector<const Expr*> agg_nodes;
 };
 
@@ -675,33 +615,18 @@ ShardCoordinator::SelectAnalysis ShardCoordinator::Analyze(
   // every aggregate reachable by the merge walk is accumulable.
   if (options_.enable_scatter && stmt.from.size() == 1 &&
       a.routes[0].state != nullptr && !stmt.distinct) {
-    bool aggregate_query = !stmt.group_by.empty() || stmt.having != nullptr;
-    for (const SelectItem& item : stmt.items) {
-      if (item.expr != nullptr && item.expr->ContainsAggregate()) {
-        aggregate_query = true;
-      }
-    }
-    if (aggregate_query) {
-      bool collectable = true;
-      for (const SelectItem& item : stmt.items) {
-        if (item.expr != nullptr) {
-          collectable =
-              collectable && CollectAggregates(item.expr.get(), &a.agg_nodes);
-        }
-      }
-      if (stmt.having != nullptr) {
-        collectable =
-            collectable && CollectAggregates(stmt.having.get(), &a.agg_nodes);
-      }
-      for (const OrderItem& item : stmt.order_by) {
-        collectable =
-            collectable && CollectAggregates(item.expr.get(), &a.agg_nodes);
-      }
-      if (collectable) {
+    if (IsAggregateQuery(stmt)) {
+      // Argument-count errors are left to the gather path to reproduce.
+      std::vector<const Expr*> nodes = CollectAggregateNodes(stmt);
+      bool well_formed = std::all_of(
+          nodes.begin(), nodes.end(), [](const Expr* e) {
+            return e->star ? e->func == "COUNT" : e->args.size() == 1;
+          });
+      if (well_formed) {
+        a.agg_nodes = std::move(nodes);
         a.strategy = SelectAnalysis::Strategy::kScatter;
         return a;
       }
-      a.agg_nodes.clear();
     }
   }
   a.strategy = SelectAnalysis::Strategy::kGather;
@@ -878,9 +803,6 @@ Result<QueryResult> ShardCoordinator::RunScatter(
   const std::string& alias = stmt.from[0].alias;
   if (actual_rows != nullptr) actual_rows->assign(n, -1);
 
-  std::unordered_map<const Expr*, size_t> slot_of;
-  for (size_t i = 0; i < a.agg_nodes.size(); ++i) slot_of[a.agg_nodes[i]] = i;
-
   struct ShardScan {
     Status status = Status::OK();
     std::map<std::string, PartialGroup> groups;
@@ -929,51 +851,23 @@ Result<QueryResult> ShardCoordinator::RunScatter(
         }
         PutLengthPrefixed(&key, v->ToKeyString());
       }
-      auto [it, inserted] = out.groups.emplace(key, PartialGroup{});
-      PartialGroup& group = it->second;
+      auto [it, inserted] = out.groups.try_emplace(key);
+      PartialGroup& partial = it->second;
       if (inserted) {
-        group.slots.resize(a.agg_nodes.size());
+        partial.group.aggs.resize(a.agg_nodes.size());
         out.bytes += key.size() + 48 * a.agg_nodes.size();
       }
-      ++group.rows;
       // Shard-local RowId order refines global insertion order unless a
       // migration dirtied it; then every row's sequence is looked up.
       if (inserted || per_row_seq) {
         uint64_t seq = SeqOf(state, row[pk_index]);
-        if (!group.has_first || seq < group.first_seq) {
-          group.first_seq = seq;
-          group.first_row = row;
-          group.has_first = true;
+        if (inserted || seq < partial.first_seq) {
+          partial.first_seq = seq;
+          partial.group.first_row = row;
           if (inserted) out.bytes += ApproxRowBytes(row);
         }
       }
-      for (size_t i = 0; i < a.agg_nodes.size(); ++i) {
-        const Expr* agg = a.agg_nodes[i];
-        if (agg->star) continue;  // COUNT(*): group.rows covers it
-        Result<Value> arg = EvalExpr(*agg->args[0], env);
-        if (!arg.ok()) {
-          out.status = arg.status();
-          return;
-        }
-        const Value& v = *arg;
-        if (v.is_null()) continue;
-        SlotAcc& acc = group.slots[i];
-        ++acc.count;
-        if (v.IsNumericKind()) {
-          acc.dsum += v.AsDouble();
-          if (v.type() == DataType::kDouble) {
-            acc.all_int = false;
-          } else {
-            acc.isum += static_cast<__int128>(v.AsInt());
-          }
-        } else if (agg->func == "SUM" || agg->func == "AVG") {
-          out.status =
-              Status::InvalidArgument(agg->func + " over non-numeric column");
-          return;
-        }
-        if (acc.min_v.is_null() || v.Compare(acc.min_v) < 0) acc.min_v = v;
-        if (acc.max_v.is_null() || v.Compare(acc.max_v) > 0) acc.max_v = v;
-      }
+      AccumulateRow(a.agg_nodes, env, &partial.group);
     });
   };
 
@@ -1018,41 +912,25 @@ Result<QueryResult> ShardCoordinator::RunScatter(
   if (!fallback) {
     for (size_t s : to_scan) {
       for (auto& [key, partial] : scans[s].groups) {
-        auto [it, inserted] = merged.emplace(key, PartialGroup{});
+        auto [it, inserted] = merged.try_emplace(key);
         PartialGroup& m = it->second;
-        if (inserted) m.slots.resize(a.agg_nodes.size());
-        m.rows += partial.rows;
-        if (partial.has_first &&
-            (!m.has_first || partial.first_seq < m.first_seq)) {
-          m.first_seq = partial.first_seq;
-          m.first_row = std::move(partial.first_row);
-          m.has_first = true;
+        if (inserted) {
+          m = std::move(partial);
+          continue;
         }
-        for (size_t i = 0; i < m.slots.size(); ++i) {
-          SlotAcc& dst = m.slots[i];
-          const SlotAcc& src = partial.slots[i];
-          dst.count += src.count;
-          dst.isum += src.isum;
-          dst.dsum += src.dsum;
-          dst.all_int = dst.all_int && src.all_int;
-          if (!src.min_v.is_null() &&
-              (dst.min_v.is_null() || src.min_v.Compare(dst.min_v) < 0)) {
-            dst.min_v = src.min_v;
-          }
-          if (!src.max_v.is_null() &&
-              (dst.max_v.is_null() || src.max_v.Compare(dst.max_v) > 0)) {
-            dst.max_v = src.max_v;
-          }
+        m.group.rows += partial.group.rows;
+        if (partial.first_seq < m.first_seq) {
+          m.first_seq = partial.first_seq;
+          m.group.first_row = std::move(partial.group.first_row);
+        }
+        for (size_t i = 0; i < m.group.aggs.size(); ++i) {
+          m.group.aggs[i].Merge(partial.group.aggs[i]);
         }
       }
     }
-    for (const auto& [key, group] : merged) {
+    for (const auto& [key, m] : merged) {
       for (size_t i = 0; i < a.agg_nodes.size(); ++i) {
-        const std::string& func = a.agg_nodes[i]->func;
-        if ((func == "SUM" || func == "AVG") && group.slots[i].count > 0 &&
-            !group.slots[i].all_int) {
-          fallback = true;
-        }
+        if (!m.group.aggs[i].MergeExact(a.agg_nodes[i]->func)) fallback = true;
       }
     }
   }
@@ -1061,162 +939,23 @@ Result<QueryResult> ShardCoordinator::RunScatter(
     return RunGather(stmt, a, ctx, nullptr);
   }
 
-  // An aggregate without GROUP BY over no rows still yields one group.
-  if (merged.empty() && stmt.group_by.empty()) {
-    PartialGroup empty;
-    empty.slots.resize(a.agg_nodes.size());
-    merged.emplace(std::string(), std::move(empty));
-  }
   // Single-node group output order is first-encounter order; the merged
   // equivalent is ascending global first-row sequence.
-  std::vector<const PartialGroup*> ordered;
+  std::vector<PartialGroup*> ordered;
   ordered.reserve(merged.size());
-  for (const auto& [key, group] : merged) ordered.push_back(&group);
+  for (auto& [key, m] : merged) ordered.push_back(&m);
   std::stable_sort(ordered.begin(), ordered.end(),
                    [](const PartialGroup* x, const PartialGroup* y) {
                      return x->first_seq < y->first_seq;
                    });
-
-  // Output columns: the executor's naming/typing rules over the shard
-  // schema (identical on every shard).
+  std::vector<AggGroup> groups;
+  groups.reserve(ordered.size());
+  for (PartialGroup* m : ordered) groups.push_back(std::move(m->group));
   std::vector<ColumnBinding> schema;
   for (const ColumnDef& col : def.columns) {
     schema.push_back({alias, col.name, col.type, &col});
   }
-  struct OutputItem {
-    std::string name;
-    DataType type = DataType::kVarchar;
-    const Expr* expr = nullptr;  // null: plain column from the first row
-    size_t direct_index = 0;
-  };
-  std::vector<OutputItem> outputs;
-  for (size_t i = 0; i < stmt.items.size(); ++i) {
-    const SelectItem& item = stmt.items[i];
-    if (item.star) {
-      for (size_t c = 0; c < schema.size(); ++c) {
-        if (!item.star_table.empty() &&
-            !EqualsIgnoreCase(schema[c].table_alias, item.star_table)) {
-          continue;
-        }
-        outputs.push_back({schema[c].column, schema[c].type, nullptr, c});
-      }
-      if (!item.star_table.empty() && outputs.empty()) {
-        return Status::NotFound("unknown table in select list: " +
-                                item.star_table);
-      }
-      continue;
-    }
-    outputs.push_back({DefaultItemName(item, i),
-                       GuessItemType(*item.expr, schema), item.expr.get(), 0});
-  }
-  if (outputs.empty()) return Status::InvalidArgument("empty select list");
-
-  // Merge-time expression evaluation: aggregate calls read their merged
-  // slot; binary nodes recurse (matching EvalAggregate's walk); everything
-  // else evaluates against the group's global first row.
-  std::function<Result<Value>(const Expr&, const PartialGroup&)> merge_eval =
-      [&](const Expr& e, const PartialGroup& g) -> Result<Value> {
-    if (e.kind == Expr::Kind::kCall && IsAggregateFunction(e.func)) {
-      if (e.star) return Value::Integer(g.rows);
-      auto it = slot_of.find(&e);
-      if (it == slot_of.end()) {
-        return Status::Internal("unmapped aggregate in scatter merge");
-      }
-      const SlotAcc& acc = g.slots[it->second];
-      if (e.func == "COUNT") return Value::Integer(acc.count);
-      if (acc.count == 0) return Value::Null();
-      if (e.func == "SUM") return FinishSum(acc.all_int, acc.isum, acc.dsum);
-      if (e.func == "AVG") {
-        return FinishAvg(acc.all_int, acc.isum, acc.dsum, acc.count);
-      }
-      if (e.func == "MIN") return acc.min_v;
-      return acc.max_v;
-    }
-    if (e.kind == Expr::Kind::kBinary) {
-      EASIA_ASSIGN_OR_RETURN(Value lhs, merge_eval(*e.left, g));
-      EASIA_ASSIGN_OR_RETURN(Value rhs, merge_eval(*e.right, g));
-      Expr bin;
-      bin.kind = Expr::Kind::kBinary;
-      bin.op = e.op;
-      bin.left = Expr::MakeLiteral(std::move(lhs));
-      bin.right = Expr::MakeLiteral(std::move(rhs));
-      EvalEnv env;
-      return EvalExpr(bin, env);
-    }
-    if (!g.has_first) return Value::Null();
-    EvalEnv env{&schema, &g.first_row};
-    return EvalExpr(e, env);
-  };
-
-  struct ProjectedRow {
-    Row values;
-    Row sort_keys;
-  };
-  std::vector<ProjectedRow> projected;
-  for (const PartialGroup* group : ordered) {
-    if (stmt.having != nullptr) {
-      EASIA_ASSIGN_OR_RETURN(Value keep, merge_eval(*stmt.having, *group));
-      if (!IsTruthy(keep)) continue;
-    }
-    ProjectedRow out;
-    for (const OutputItem& item : outputs) {
-      if (item.expr == nullptr) {
-        out.values.push_back(group->has_first
-                                 ? group->first_row[item.direct_index]
-                                 : Value::Null());
-        continue;
-      }
-      EASIA_ASSIGN_OR_RETURN(Value v, merge_eval(*item.expr, *group));
-      out.values.push_back(std::move(v));
-    }
-    for (const OrderItem& item : stmt.order_by) {
-      bool matched = false;
-      if (item.expr->kind == Expr::Kind::kColumn && item.expr->table.empty()) {
-        for (size_t i = 0; i < outputs.size(); ++i) {
-          if (EqualsIgnoreCase(outputs[i].name, item.expr->column)) {
-            out.sort_keys.push_back(out.values[i]);
-            matched = true;
-            break;
-          }
-        }
-      }
-      if (!matched) {
-        EASIA_ASSIGN_OR_RETURN(Value v, merge_eval(*item.expr, *group));
-        out.sort_keys.push_back(std::move(v));
-      }
-    }
-    projected.push_back(std::move(out));
-  }
-  if (!stmt.order_by.empty()) {
-    std::stable_sort(projected.begin(), projected.end(),
-                     [&](const ProjectedRow& x, const ProjectedRow& y) {
-                       for (size_t i = 0; i < stmt.order_by.size(); ++i) {
-                         int cmp = x.sort_keys[i].Compare(y.sort_keys[i]);
-                         if (cmp != 0) {
-                           return stmt.order_by[i].descending ? cmp > 0
-                                                              : cmp < 0;
-                         }
-                       }
-                       return false;
-                     });
-  }
-  size_t begin = std::min(static_cast<size_t>(std::max<int64_t>(
-                              stmt.offset, 0)),
-                          projected.size());
-  size_t end = projected.size();
-  if (stmt.limit >= 0) {
-    end = std::min(end, begin + static_cast<size_t>(stmt.limit));
-  }
-  QueryResult result;
-  result.is_query = true;
-  for (const OutputItem& item : outputs) {
-    result.column_names.push_back(item.name);
-    result.column_types.push_back(item.type);
-  }
-  for (size_t i = begin; i < end; ++i) {
-    result.rows.push_back(std::move(projected[i].values));
-  }
-  return result;
+  return FinishGroups(stmt, schema, a.agg_nodes, std::move(groups), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -1303,33 +1042,22 @@ Result<QueryResult> ShardCoordinator::RunGather(
 }
 
 // ---------------------------------------------------------------------------
-// Cross-shard constraint checks (the shard databases run with
-// enforce_foreign_keys off; messages mirror Database exactly)
+// Cross-shard constraint checks: the shared FK rules with shard probes
 // ---------------------------------------------------------------------------
 
 Status ShardCoordinator::CheckForeignKeys(
     const TableDef& def, const Row& row,
     const std::vector<const Row*>& pending_same_table) {
-  for (const ForeignKeyDef& fk : def.foreign_keys) {
-    std::vector<Value> key_values;
-    bool any_null = false;
-    for (const std::string& col : fk.columns) {
-      EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col));
-      if (row[idx].is_null()) {
-        any_null = true;
-        break;
-      }
-      key_values.push_back(row[idx]);
-    }
-    if (any_null) continue;  // SQL: NULL FK values are not checked
+  auto parent_exists = [&](const ForeignKeyDef& fk,
+                           const std::vector<Value>& key) -> Result<bool> {
+    auto probe = [&](size_t s) {
+      Result<const Table*> parent = ShardTable(s, fk.ref_table);
+      return parent.ok() && (*parent)->FindUnique(fk.ref_columns, key).ok();
+    };
     bool found = false;
     auto pit = part_.find(ToUpper(fk.ref_table));
     if (pit == part_.end()) {
-      // Broadcast parent: every shard holds it; shard 0 answers.
-      Result<const Table*> parent = ShardTable(0, fk.ref_table);
-      if (parent.ok()) {
-        found = (*parent)->FindUnique(fk.ref_columns, key_values).ok();
-      }
+      found = probe(0);  // broadcast parent: every shard holds it
     } else {
       // Partitioned parent referenced by its partition key: the parent row
       // can only live on its hash shard, and within a kind class equal
@@ -1350,105 +1078,71 @@ Status ShardCoordinator::CheckForeignKeys(
         if (parent_def.ok() &&
             EqualsIgnoreCase(fk.ref_columns[0],
                              (*parent_def)->columns[pstate.pk_index].name) &&
-            key_values[0].IsNumericKind() == pk_numeric) {
-          Result<Value> coerced = key_values[0].CoerceTo(pstate.pk_type);
+            key[0].IsNumericKind() == pk_numeric) {
+          Result<Value> coerced = key[0].CoerceTo(pstate.pk_type);
           if (coerced.ok()) {
             size_t target = ShardOfValue(pstate, *coerced);
-            Result<const Table*> parent = ShardTable(target, fk.ref_table);
-            if (parent.ok()) {
-              found = (*parent)->FindUnique(fk.ref_columns, key_values).ok();
+            if (ShardTable(target, fk.ref_table).ok()) {
+              found = probe(target);
               authoritative = true;
             }
           }
         }
       }
-      if (!authoritative) {
-        for (size_t s = 0; s < shards_.size() && !found; ++s) {
-          Result<const Table*> parent = ShardTable(s, fk.ref_table);
-          if (parent.ok()) {
-            found = (*parent)->FindUnique(fk.ref_columns, key_values).ok();
-          }
-        }
+      for (size_t s = 0; !authoritative && !found && s < shards_.size();
+           ++s) {
+        found = probe(s);
       }
     }
-    if (!found && EqualsIgnoreCase(fk.ref_table, def.name)) {
-      // Self-referencing FK: rows inserted earlier in this statement are
-      // already visible on a single-node database.
-      for (const Row* pending : pending_same_table) {
-        bool matches = true;
-        for (size_t k = 0; k < fk.ref_columns.size() && matches; ++k) {
-          Result<size_t> ridx = def.ColumnIndex(fk.ref_columns[k]);
-          matches = ridx.ok() && !(*pending)[*ridx].is_null() &&
-                    (*pending)[*ridx].Equals(key_values[k]);
-        }
-        if (matches) {
-          found = true;
-          break;
-        }
+    if (found || !EqualsIgnoreCase(fk.ref_table, def.name)) return found;
+    // Self-referencing FK: rows inserted earlier in this statement are
+    // already visible on a single-node database.
+    for (const Row* pending : pending_same_table) {
+      bool matches = true;
+      for (size_t k = 0; k < fk.ref_columns.size() && matches; ++k) {
+        Result<size_t> ridx = def.ColumnIndex(fk.ref_columns[k]);
+        matches = ridx.ok() && !(*pending)[*ridx].is_null() &&
+                  (*pending)[*ridx].Equals(key[k]);
       }
+      if (matches) return true;
     }
-    if (!found) {
-      return Status::ConstraintViolation(
-          "foreign key violation: no row in " + fk.ref_table + " for " +
-          def.name + "(" + Join(fk.columns, ",") + ")");
-    }
-  }
-  return Status::OK();
+    return false;
+  };
+  return db::CheckForeignKeys(def, row, parent_exists);
 }
 
 Status ShardCoordinator::CheckNoChildren(
     const TableDef& def, const Row& old_row, const Row* new_row,
     const std::set<std::string>& excluded_self_keys) {
-  const Catalog& cat = primary_db(0)->catalog();
-  for (const ColumnDef& col : def.columns) {
-    std::vector<InboundReference> refs = cat.ReferencesTo(def.name, col.name);
-    if (refs.empty()) continue;
-    EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col.name));
-    const Value& old_value = old_row[idx];
-    if (old_value.is_null()) continue;
-    if (new_row != nullptr && (*new_row)[idx].Equals(old_value)) {
-      continue;  // value unchanged; children unaffected
-    }
-    for (const InboundReference& ref : refs) {
-      Result<const TableDef*> child_def = cat.GetTable(ref.from_table);
-      if (!child_def.ok()) continue;
-      EASIA_ASSIGN_OR_RETURN(size_t child_idx,
-                             (*child_def)->ColumnIndex(ref.from_column));
-      bool self = EqualsIgnoreCase(ref.from_table, def.name);
-      // Broadcast children are identical everywhere; shard 0 answers.
-      size_t probe_shards =
-          part_.count(ToUpper(ref.from_table)) > 0 ? shards_.size() : 1;
-      bool referenced = false;
-      for (size_t s = 0; s < probe_shards && !referenced; ++s) {
-        Result<const Table*> child = ShardTable(s, ref.from_table);
-        if (!child.ok()) continue;
-        if (!self || excluded_self_keys.empty()) {
-          referenced = (*child)->AnyRowWithValue(child_idx, old_value);
-        } else {
-          // DELETE processes targets in global order; same-statement rows
-          // already deleted must not count as children (a single-node
-          // database has physically removed them by this point).
-          (*child)->ForEachRow([&](RowId, const Row& child_row) {
-            if (referenced) return;
-            if (child_row[child_idx].is_null() ||
-                !child_row[child_idx].Equals(old_value)) {
-              return;
-            }
-            if (excluded_self_keys.count(PkKey(**child_def, child_row)) > 0) {
-              return;
-            }
-            referenced = true;
-          });
+  auto has_child = [&](const InboundReference& ref, const TableDef& child_def,
+                       size_t child_idx, const Value& value) -> Result<bool> {
+    bool self = EqualsIgnoreCase(ref.from_table, def.name);
+    // Broadcast children are identical everywhere; shard 0 answers.
+    size_t probe_shards =
+        part_.count(ToUpper(ref.from_table)) > 0 ? shards_.size() : 1;
+    bool referenced = false;
+    for (size_t s = 0; s < probe_shards && !referenced; ++s) {
+      Result<const Table*> child = ShardTable(s, ref.from_table);
+      if (!child.ok()) continue;
+      if (!self || excluded_self_keys.empty()) {
+        referenced = (*child)->AnyRowWithValue(child_idx, value);
+        continue;
+      }
+      // DELETE processes targets in global order; same-statement rows
+      // already deleted must not count as children (a single-node
+      // database has physically removed them by this point).
+      (*child)->ForEachRow([&](RowId, const Row& child_row) {
+        if (referenced || child_row[child_idx].is_null() ||
+            !child_row[child_idx].Equals(value)) {
+          return;
         }
-      }
-      if (referenced) {
-        return Status::ConstraintViolation("row is referenced by " +
-                                           ref.from_table + "." +
-                                           ref.from_column + " (RESTRICT)");
-      }
+        referenced = excluded_self_keys.count(PkKey(child_def, child_row)) == 0;
+      });
     }
-  }
-  return Status::OK();
+    return referenced;
+  };
+  return db::CheckNoChildren(primary_db(0)->catalog(), def, old_row, new_row,
+                             has_child);
 }
 
 // ---------------------------------------------------------------------------
@@ -1582,7 +1276,7 @@ Result<QueryResult> ShardCoordinator::ExecInsert(const InsertStmt& stmt,
       EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*value_exprs[i], env));
       row[positions[i]] = std::move(v);
     }
-    EASIA_ASSIGN_OR_RETURN(row, CoerceRowForTable(def, std::move(row)));
+    EASIA_ASSIGN_OR_RETURN(row, CoerceRow(def, std::move(row)));
     EASIA_RETURN_IF_ERROR(CheckForeignKeys(def, row, pending));
     size_t target = state != nullptr
                         ? ShardOfValue(*state, row[state->pk_index])
@@ -1734,7 +1428,7 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
       EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, env));
       new_row[idx] = std::move(v);
     }
-    EASIA_ASSIGN_OR_RETURN(new_row, CoerceRowForTable(def, std::move(new_row)));
+    EASIA_ASSIGN_OR_RETURN(new_row, CoerceRow(def, std::move(new_row)));
     EASIA_RETURN_IF_ERROR(CheckForeignKeys(def, new_row, {}));
     EASIA_RETURN_IF_ERROR(CheckNoChildren(def, target.old_row, &new_row, {}));
     if (!def.primary_key.empty()) {

@@ -97,11 +97,11 @@ struct ShardCounters {
 ///             that shard (its catalogue mirror plans it like a
 ///             single-node database).
 ///   scatter — single-table aggregate over a partitioned table: shards
-///             accumulate partial groups (COUNT/SUM/MIN/MAX/AVG with the
-///             order-independent __int128 SUM rule, executor.h) in
-///             parallel; the coordinator merges and finishes the query.
-///             Falls back to gather whenever exactness cannot be proven
-///             (non-integer SUM/AVG, a shard-side evaluation error).
+///             accumulate partial groups (AccumulateRow into AggStates,
+///             db/aggregate.h) in parallel; the coordinator Merges them
+///             and FinishGroups runs the rest of the query. Falls back to
+///             gather whenever exactness cannot be proven (non-integer
+///             SUM/AVG, an evaluation error).
 ///   gather  — everything else: each FROM table's rows are fetched in
 ///             global insertion order and the unmodified statement runs on
 ///             the existing cost-based planner/executor at the
@@ -225,8 +225,8 @@ class ShardCoordinator {
 
   size_t ShardOfValue(const PartState& state, const Value& pk) const;
   uint64_t SeqOf(const PartState& state, const Value& pk) const;
-  /// FK enforcement across shards, mirroring Database's single-node
-  /// messages (the shard databases run with enforce_foreign_keys off).
+  /// The shared FK rules (db/schema.h) probed across shards (the shard
+  /// databases run with enforce_foreign_keys off).
   Status CheckForeignKeys(const TableDef& def, const Row& row,
                           const std::vector<const Row*>& pending_same_table);
   Status CheckNoChildren(const TableDef& def, const Row& old_row,

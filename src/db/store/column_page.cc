@@ -1,10 +1,11 @@
 #include "db/store/column_page.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <map>
 
 #include "common/string_util.h"
-#include "db/executor.h"
 
 namespace easia::db::store {
 namespace {
@@ -31,32 +32,6 @@ void AppendKeyFragment(bool is_null, bool numeric, double num,
   key->append(reinterpret_cast<const char*>(&len), sizeof(len));
   key->append(text.data(), text.size());
 }
-
-/// Per-aggregate running state. SUM/AVG over integer columns accumulate
-/// twice: exactly in 128-bit integer arithmetic and approximately in
-/// double. The wide total is authoritative while every input was
-/// integer-kind (narrowing back to INTEGER when it fits int64, DOUBLE
-/// otherwise) — the same order-independent rule as the row-path
-/// EvalAggregate (FinishSum/FinishAvg in db/executor.h), so the two
-/// executors stay bit-identical and shard partials merge exactly.
-struct AggAcc {
-  size_t non_null = 0;
-  double sum = 0;
-  __int128 isum = 0;
-  bool all_int = true;
-  bool has_extreme = false;
-  bool extreme_numeric = false;
-  double extreme_num = 0;
-  int64_t extreme_int = 0;  // exact track for fixed-int columns
-  std::string extreme_text;
-  size_t extreme_slot = 0;  // slot holding the current MIN/MAX value
-};
-
-struct GroupState {
-  size_t first_slot = 0;
-  size_t count = 0;
-  std::vector<AggAcc> accs;
-};
 
 }  // namespace
 
@@ -334,8 +309,20 @@ Result<std::vector<AggGroup>> ColumnStore::AggregateScan(
     }
   }
 
+  // Per group: its first slot, and per MIN/MAX spec the current extreme:
+  // its slot (kNoSlot before any non-NULL value) and typed value. Values
+  // are only materialised from the slots once the scan is done.
+  constexpr size_t kNoSlot = SIZE_MAX;
+  struct Extreme {
+    size_t slot = kNoSlot;
+    int64_t num_int = 0;
+    double num = 0;
+    std::string_view text;
+  };
   std::map<std::string, size_t> group_index;
-  std::vector<GroupState> groups;
+  std::vector<AggGroup> groups;
+  std::vector<size_t> first_slots;
+  std::vector<Extreme> extremes;  // [group * aggs.size() + spec]
   std::string key;
   ForEachLiveSlot([&](RowId /*id*/, size_t slot) {
     if (!PassesAll(predicates, slot)) return;
@@ -357,148 +344,66 @@ Result<std::vector<AggGroup>> ColumnStore::AggregateScan(
     }
     auto [it, inserted] = group_index.try_emplace(key, groups.size());
     if (inserted) {
-      GroupState state;
-      state.first_slot = slot;
-      state.accs.resize(aggs.size());
-      groups.push_back(std::move(state));
+      groups.emplace_back();
+      groups.back().aggs.resize(aggs.size());
+      first_slots.push_back(slot);
+      extremes.resize(extremes.size() + aggs.size());
     }
-    GroupState& g = groups[it->second];
-    ++g.count;
+    AggGroup& g = groups[it->second];
+    ++g.rows;
     for (size_t i = 0; i < aggs.size(); ++i) {
       const AggSpec& a = aggs[i];
       if (a.fn == AggSpec::Fn::kCountStar) continue;
       const Column& c = columns_[a.column];
       if (GetBit(c.null_bits, slot)) continue;  // aggregates skip NULLs
-      AggAcc& acc = g.accs[i];
-      ++acc.non_null;
       switch (a.fn) {
         case AggSpec::Fn::kCount:
+          g.aggs[i].AddCount();
           break;
         case AggSpec::Fn::kSum:
-        case AggSpec::Fn::kAvg: {
+        case AggSpec::Fn::kAvg:
           if (c.type == DataType::kDouble) {
-            acc.all_int = false;
-            acc.sum += c.doubles[slot];
+            g.aggs[i].AddDouble(c.doubles[slot]);
           } else {
-            acc.sum += static_cast<double>(c.ints[slot]);
-            acc.isum += c.ints[slot];
+            g.aggs[i].AddInt(c.ints[slot]);
           }
           break;
-        }
-        case AggSpec::Fn::kMin:
-        case AggSpec::Fn::kMax: {
-          bool better;
-          if (IsText(c.type)) {
-            std::string_view text = TextAt(c, slot);
-            if (!acc.has_extreme) {
-              better = true;
-            } else {
-              int cmp = text.compare(acc.extreme_text);
-              better = a.fn == AggSpec::Fn::kMin ? cmp < 0 : cmp > 0;
-            }
-            if (better) {
-              acc.extreme_text.assign(text);
-              acc.extreme_slot = slot;
-            }
-          } else if (IsFixedInt(c.type)) {
-            // Integer columns compare exactly — a double track would tie
-            // distinct values past 2^53 (see Value::Compare).
-            int64_t num = c.ints[slot];
-            if (!acc.has_extreme) {
-              better = true;
-            } else {
-              better = a.fn == AggSpec::Fn::kMin ? num < acc.extreme_int
-                                                 : num > acc.extreme_int;
-            }
-            if (better) {
-              acc.extreme_int = num;
-              acc.extreme_numeric = true;
-              acc.extreme_slot = slot;
-            }
+        default: {  // kMin / kMax
+          Extreme& e = extremes[it->second * aggs.size() + i];
+          const bool want_min = a.fn == AggSpec::Fn::kMin;
+          bool better = e.slot == kNoSlot;
+          if (IsFixedInt(c.type)) {
+            // Exact: a double track would tie distinct integers past 2^53.
+            int64_t v = c.ints[slot];
+            better = better || (want_min ? v < e.num_int : v > e.num_int);
+            if (better) e.num_int = v;
+          } else if (c.type == DataType::kDouble) {
+            double v = c.doubles[slot];
+            better = better || (want_min ? v < e.num : v > e.num);
+            if (better) e.num = v;
           } else {
-            double num = c.doubles[slot];
-            if (!acc.has_extreme) {
-              better = true;
-            } else {
-              better = a.fn == AggSpec::Fn::kMin ? num < acc.extreme_num
-                                                 : num > acc.extreme_num;
-            }
-            if (better) {
-              acc.extreme_num = num;
-              acc.extreme_numeric = true;
-              acc.extreme_slot = slot;
-            }
+            std::string_view v = TextAt(c, slot);
+            better = better || (want_min ? v < e.text : v > e.text);
+            if (better) e.text = v;
           }
-          acc.has_extreme = true;
+          if (better) e.slot = slot;
           break;
         }
-        default:
-          break;
       }
     }
   });
 
-  // Zero matching rows without GROUP BY still aggregates once.
-  if (group_by.empty() && groups.empty()) {
-    GroupState state;
-    state.accs.resize(aggs.size());
-    state.first_slot = SIZE_MAX;
-    groups.push_back(std::move(state));
-  }
-
-  std::vector<AggGroup> out;
-  out.reserve(groups.size());
-  for (const GroupState& g : groups) {
-    AggGroup group;
-    if (g.count == 0) {
-      group.first_row.assign(columns_.size(), Value::Null());
-    } else {
-      MaterialiseRow(g.first_slot, &group.first_row);
-    }
-    group.aggregates.reserve(aggs.size());
+  for (size_t g = 0; g < groups.size(); ++g) {
+    MaterialiseRow(first_slots[g], &groups[g].first_row);
     for (size_t i = 0; i < aggs.size(); ++i) {
-      const AggSpec& a = aggs[i];
-      const AggAcc& acc = g.accs[i];
-      switch (a.fn) {
-        case AggSpec::Fn::kCountStar:
-          group.aggregates.push_back(
-              Value::Integer(static_cast<int64_t>(g.count)));
-          break;
-        case AggSpec::Fn::kCount:
-          group.aggregates.push_back(
-              Value::Integer(static_cast<int64_t>(acc.non_null)));
-          break;
-        case AggSpec::Fn::kSum:
-          if (acc.non_null == 0) {
-            group.aggregates.push_back(Value::Null());
-          } else {
-            group.aggregates.push_back(
-                FinishSum(acc.all_int, acc.isum, acc.sum));
-          }
-          break;
-        case AggSpec::Fn::kAvg:
-          if (acc.non_null == 0) {
-            group.aggregates.push_back(Value::Null());
-          } else {
-            group.aggregates.push_back(
-                FinishAvg(acc.all_int, acc.isum, acc.sum,
-                          static_cast<int64_t>(acc.non_null)));
-          }
-          break;
-        case AggSpec::Fn::kMin:
-        case AggSpec::Fn::kMax:
-          if (!acc.has_extreme) {
-            group.aggregates.push_back(Value::Null());
-          } else {
-            group.aggregates.push_back(
-                MaterialiseCell(columns_[a.column], acc.extreme_slot));
-          }
-          break;
+      size_t best = extremes[g * aggs.size() + i].slot;
+      if (best != kNoSlot) {
+        groups[g].aggs[i].Update(
+            MaterialiseCell(columns_[aggs[i].column], best));
       }
     }
-    out.push_back(std::move(group));
   }
-  return out;
+  return groups;
 }
 
 size_t ColumnStore::ApproxBytes() const {

@@ -9,17 +9,11 @@
 #include <vector>
 
 #include "common/result.h"
+#include "db/aggregate.h"
 #include "db/schema.h"
 #include "db/value.h"
 
-namespace easia::db {
-
-// Shared row aliases (identical to the declarations in db/table.h; store
-// headers cannot include table.h because Table embeds store types).
-using Row = std::vector<Value>;
-using RowId = uint64_t;
-
-namespace store {
+namespace easia::db::store {
 
 /// One pushed predicate in kernel form: `column <op> literal`, IS [NOT]
 /// NULL, or LIKE. Literals are pre-checked by the planner to match the
@@ -47,15 +41,6 @@ struct AggSpec {
   enum class Fn { kCountStar, kCount, kSum, kMin, kMax, kAvg };
   Fn fn = Fn::kCountStar;
   size_t column = 0;  // unused for kCountStar
-};
-
-/// One output group of AggregateScan, in first-seen row order.
-struct AggGroup {
-  /// The group's first member fully materialised (the executor evaluates
-  /// non-aggregate select items against it, matching row-path semantics).
-  /// All-NULL for the zero-row global group.
-  Row first_row;
-  std::vector<Value> aggregates;  // one per AggSpec, in order
 };
 
 /// Columnar table storage: one typed array per column (fixed-width int64
@@ -93,10 +78,11 @@ class ColumnStore {
       const std::vector<ColPredicate>& predicates) const;
 
   /// Grouped aggregation over rows satisfying every predicate, groups in
-  /// first-seen order (ascending RowId of first member). With an empty
-  /// `group_by`, returns exactly one global group even when no row
-  /// matches (zero-row aggregate semantics: COUNT = 0, SUM/AVG/MIN/MAX =
-  /// NULL), mirroring the executor's row-path behaviour.
+  /// first-seen order (ascending RowId of first member), each holding one
+  /// AggState per AggSpec, to be finished with that spec's function. A
+  /// kCountStar state stays empty (the count is `rows`), and a MIN/MAX
+  /// state holds just the winning value. No row matched: no group
+  /// (FinishGroups adds the zero-row one).
   Result<std::vector<AggGroup>> AggregateScan(
       const std::vector<ColPredicate>& predicates,
       const std::vector<size_t>& group_by,
@@ -159,7 +145,6 @@ class ColumnStore {
   bool slots_monotonic_ = true;
 };
 
-}  // namespace store
-}  // namespace easia::db
+}  // namespace easia::db::store
 
 #endif  // EASIA_DB_STORE_COLUMN_PAGE_H_

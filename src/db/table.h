@@ -18,9 +18,6 @@
 
 namespace easia::db {
 
-using Row = std::vector<Value>;
-using RowId = uint64_t;
-
 /// Encodes row/value payloads for the WAL and snapshots.
 void EncodeRow(std::string* dst, const Row& row);
 Result<Row> DecodeRow(Decoder* dec);

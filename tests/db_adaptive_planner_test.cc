@@ -13,6 +13,7 @@
 #include "db/executor.h"
 #include "db/parser.h"
 #include "db/stats/index_advisor.h"
+#include "testing/naive_executor.h"
 
 namespace easia::db {
 namespace {
@@ -73,9 +74,9 @@ class AdaptivePlannerTest : public ::testing::Test {
       return db_->GetTable(name);
     };
     Result<QueryResult> planned =
-        ExecuteSelect(*stmt->select, lookup, nullptr, {true});
+        ExecuteSelect(*stmt->select, lookup, nullptr);
     Result<QueryResult> naive =
-        ExecuteSelect(*stmt->select, lookup, nullptr, {false});
+        easia::testing::ExecuteSelectNaive(*stmt->select, lookup);
     ASSERT_EQ(planned.ok(), naive.ok())
         << select_sql << "\nplanned: " << planned.status().ToString()
         << "\nnaive:   " << naive.status().ToString();

@@ -15,6 +15,7 @@
 #include "db/repl/wire.h"
 #include "db/shard/coordinator.h"
 #include "sim/network.h"
+#include "testing/naive_executor.h"
 
 namespace easia::db {
 namespace {
@@ -57,11 +58,12 @@ shard::ShardOptions MakeShardOptions() {
 }
 
 /// Differential fuzzing: seeded random SELECTs executed through both the
-/// query planner and the legacy executor must produce identical results.
-/// The planner (predicate pushdown, index access, hash joins, columnar
+/// query planner and the naive reference executor
+/// (testing::ExecuteSelectNaive) must produce identical results. The
+/// planner (predicate pushdown, index access, hash joins, columnar
 /// filter/aggregate kernels, radix prefix scans, LIMIT short-circuit) is
-/// the optimised path; the legacy executor is the naive-but-obviously-
-/// correct oracle. Every query additionally runs against a columnar twin
+/// the optimised path; the naive executor is the obviously-correct
+/// oracle. Every query additionally runs against a columnar twin
 /// database (same DDL `STORE COLUMNAR`, same inserts), against a
 /// replica fed purely by WAL-shipped commit entries (never by direct
 /// DML), and against a 4-shard hash-partitioned coordinator (same DDL
@@ -180,9 +182,9 @@ class DifferentialFuzzTest : public ::testing::Test {
       };
       bool row_store = database == db_.get();
       runs.push_back({row_store ? "row/planned" : "columnar/planned",
-                      ExecuteSelect(*stmt->select, lookup, nullptr, {true})});
+                      ExecuteSelect(*stmt->select, lookup, nullptr)});
       runs.push_back({row_store ? "row/naive" : "columnar/naive",
-                      ExecuteSelect(*stmt->select, lookup, nullptr, {false})});
+                      easia::testing::ExecuteSelectNaive(*stmt->select, lookup)});
     }
     {
       Database* database = &replica_->database();
@@ -190,7 +192,7 @@ class DifferentialFuzzTest : public ::testing::Test {
         return database->GetTable(name);
       };
       runs.push_back({"replica/planned",
-                      ExecuteSelect(*stmt->select, lookup, nullptr, {true})});
+                      ExecuteSelect(*stmt->select, lookup, nullptr)});
     }
     // Sixth arm: the shard coordinator plans the same SELECT across four
     // hash partitions (pruning + scatter partial aggregation or

@@ -1,9 +1,18 @@
 // Edge cases of the SQL executor: multi-column grouping, star expansion,
-// coercions, NULL corner cases, self-referential FKs, and the SQL/MED
-// rewrite hook observed through a fake coordinator.
+// coercions, NULL corner cases, self-referential FKs, the SQL/MED
+// rewrite hook observed through a fake coordinator, ORDER BY positions in
+// aggregate queries, and hand-computed AggState goldens.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "db/aggregate.h"
 #include "db/database.h"
+#include "db/shard/coordinator.h"
+#include "sim/network.h"
 
 namespace easia::db {
 namespace {
@@ -387,6 +396,224 @@ TEST_F(PointLookupTest, ReversedOperandOrderWorks) {
   auto r = db_->Execute("SELECT V FROM P WHERE 'k3' = A AND 13 = B");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows.size(), 1u);
+}
+
+}  // namespace
+}  // namespace easia::db
+
+namespace easia::db {
+namespace {
+
+// ---------------------------------------------------------------------------
+// ORDER BY <output position> in aggregate queries
+// ---------------------------------------------------------------------------
+
+/// Rows of a result as "v1 v2|v1 v2|...".
+std::string Rows(const Result<QueryResult>& r) {
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return "";
+  std::string out;
+  for (const Row& row : r->rows) {
+    for (size_t c = 0; c < row.size(); ++c) {
+      out += (c > 0 ? " " : "") + row[c].ToDisplayString();
+    }
+    out += "|";
+  }
+  return out;
+}
+
+/// Groups first seen in the order b, a, c, with SUM(X) = 12, 1, 2.
+const char* const kPositionRows[] = {"(1, 'b', 5)", "(2, 'a', 1)",
+                                     "(3, 'c', 2)", "(4, 'b', 7)"};
+
+TEST(AggregateOrderByPositionTest, RowAndColumnarTables) {
+  for (const char* storage : {"", " STORE COLUMNAR"}) {
+    SCOPED_TRACE(storage);
+    Database db("POS");
+    ASSERT_TRUE(db.Execute(std::string("CREATE TABLE A (ID INTEGER PRIMARY "
+                                       "KEY, G VARCHAR(4), X INTEGER)") +
+                           storage)
+                    .ok());
+    for (const char* values : kPositionRows) {
+      ASSERT_TRUE(
+          db.Execute(std::string("INSERT INTO A VALUES ") + values).ok());
+    }
+    EXPECT_EQ(Rows(db.Execute("SELECT G, SUM(X) FROM A GROUP BY G ORDER BY 2")),
+              "a 1|c 2|b 12|");
+    EXPECT_EQ(Rows(db.Execute(
+                  "SELECT G, SUM(X) FROM A GROUP BY G ORDER BY 2 DESC")),
+              "b 12|c 2|a 1|");
+    EXPECT_EQ(Rows(db.Execute(
+                  "SELECT G, SUM(X) FROM A GROUP BY G ORDER BY 1 DESC")),
+              "c 2|b 12|a 1|");
+    // The non-aggregate path already honoured positions; it still does.
+    EXPECT_EQ(Rows(db.Execute("SELECT G, X FROM A ORDER BY 2")),
+              "a 1|c 2|b 5|b 7|");
+  }
+}
+
+TEST(AggregateOrderByPositionTest, ShardedScatter) {
+  sim::Network net;
+  shard::ShardOptions options;
+  options.coordinator_host = "web";
+  std::vector<std::string> hosts = {"web", "s0", "s1", "s2", "s3"};
+  for (const std::string& h : hosts) net.AddHost({h, 50.0, 4});
+  for (const std::string& a : hosts) {
+    for (const std::string& b : hosts) {
+      if (a != b) {
+        net.AddLink(a, b, sim::BandwidthSchedule::Constant(100.0), 0.001);
+      }
+    }
+    if (a != "web") options.shard_hosts.push_back(a);
+  }
+  shard::ShardCoordinator coord(&net, options);
+  ASSERT_TRUE(coord
+                  .Execute("CREATE TABLE A (ID INTEGER PRIMARY KEY, "
+                           "G VARCHAR(4), X INTEGER) "
+                           "PARTITION BY HASH(ID) PARTITIONS 4")
+                  .ok());
+  for (const char* values : kPositionRows) {
+    ASSERT_TRUE(
+        coord.Execute(std::string("INSERT INTO A VALUES ") + values).ok());
+  }
+  uint64_t scatters = coord.counters().queries_scatter;
+  EXPECT_EQ(Rows(coord.Execute("SELECT G, SUM(X) FROM A GROUP BY G ORDER BY 2")),
+            "a 1|c 2|b 12|");
+  EXPECT_EQ(Rows(coord.Execute(
+                "SELECT G, SUM(X) FROM A GROUP BY G ORDER BY 2 DESC")),
+            "b 12|c 2|a 1|");
+  EXPECT_EQ(coord.counters().queries_scatter, scatters + 2);
+}
+
+// ---------------------------------------------------------------------------
+// AggState goldens (hand-computed)
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+const char* const kFns[] = {"COUNT", "SUM", "AVG", "MIN", "MAX"};
+
+AggState StateOf(const std::vector<Value>& values, size_t from, size_t to) {
+  AggState state;
+  for (size_t i = from; i < to; ++i) state.Update(values[i]);
+  return state;
+}
+
+/// Type and display form, or the error.
+std::string Show(const Result<Value>& v) {
+  if (!v.ok()) return "error: " + v.status().ToString();
+  if (v->is_null()) return "NULL";
+  return std::string(DataTypeName(v->type())) + " " + v->ToDisplayString();
+}
+
+TEST(AggStateTest, SumNearInt64MaxWidensToDouble) {
+  AggState state = StateOf({Value::Integer(kMax), Value::Integer(1)}, 0, 2);
+  Result<Value> sum = state.Finish("SUM");
+  ASSERT_TRUE(sum.ok());
+  EXPECT_EQ(sum->type(), DataType::kDouble);
+  EXPECT_EQ(sum->AsDouble(), 9223372036854775808.0);  // 2^63
+  // Back inside the rails the exact total narrows to INTEGER again.
+  state.Update(Value::Integer(-2));
+  sum = state.Finish("SUM");
+  ASSERT_TRUE(sum.ok());
+  EXPECT_EQ(sum->type(), DataType::kInteger);
+  EXPECT_EQ(sum->AsInt(), kMax - 1);
+  // AVG divides the exact total: (2^63 - 2) / 3 in double.
+  Result<Value> avg = state.Finish("AVG");
+  ASSERT_TRUE(avg.ok());
+  EXPECT_EQ(avg->AsDouble(), 9223372036854775806.0 / 3.0);
+}
+
+TEST(AggStateTest, MinMaxOfInt64sPast2To53AreExact) {
+  // 2^53 + 1 and 2^53 are equal as doubles; the exact compare tells them
+  // apart whichever comes first.
+  const int64_t above = (int64_t{1} << 53) + 1;
+  const int64_t at = int64_t{1} << 53;
+  for (bool above_first : {true, false}) {
+    std::vector<Value> values = {Value::Integer(above_first ? above : at),
+                                 Value::Integer(above_first ? at : above)};
+    AggState state = StateOf(values, 0, 2);
+    EXPECT_EQ(state.Finish("MIN")->AsInt(), at);
+    EXPECT_EQ(state.Finish("MAX")->AsInt(), above);
+    AggState merged = StateOf(values, 0, 1);
+    merged.Merge(StateOf(values, 1, 2));
+    EXPECT_EQ(merged.Finish("MIN")->AsInt(), at);
+    EXPECT_EQ(merged.Finish("MAX")->AsInt(), above);
+  }
+}
+
+TEST(AggStateTest, MixedIntegerAndDoubleInput) {
+  AggState state = StateOf(
+      {Value::Integer(1), Value::Double(2.5), Value::Null(), Value::Integer(3)},
+      0, 4);
+  EXPECT_EQ(Show(state.Finish("COUNT")), "INTEGER 3");
+  EXPECT_EQ(Show(state.Finish("SUM")), "DOUBLE 6.5");
+  EXPECT_EQ(state.Finish("AVG")->AsDouble(), 6.5 / 3);
+  EXPECT_EQ(Show(state.Finish("MIN")), "INTEGER 1");
+  EXPECT_EQ(Show(state.Finish("MAX")), "INTEGER 3");
+  EXPECT_FALSE(state.MergeExact("SUM"));
+  EXPECT_TRUE(state.MergeExact("MAX"));
+}
+
+TEST(AggStateTest, AllNullGroup) {
+  AggState state = StateOf({Value::Null(), Value::Null()}, 0, 2);
+  EXPECT_EQ(Show(state.Finish("COUNT")), "INTEGER 0");
+  for (const char* fn : {"SUM", "AVG", "MIN", "MAX"}) {
+    EXPECT_EQ(Show(state.Finish(fn)), "NULL") << fn;
+  }
+}
+
+TEST(AggStateTest, SumOverTextIsInvalidArgument) {
+  AggState state = StateOf({Value::Varchar("x"), Value::Varchar("a")}, 0, 2);
+  for (const char* fn : {"SUM", "AVG"}) {
+    Result<Value> v = state.Finish(fn);
+    ASSERT_FALSE(v.ok()) << fn;
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(v.status().message(), std::string(fn) + " over non-numeric column");
+  }
+  EXPECT_EQ(Show(state.Finish("COUNT")), "INTEGER 2");
+  EXPECT_EQ(Show(state.Finish("MIN")), "VARCHAR a");
+  EXPECT_EQ(Show(state.Finish("MAX")), "VARCHAR x");
+  // Through SQL: the row path and a columnar table agree.
+  for (const char* storage : {"", " STORE COLUMNAR"}) {
+    Database db("TXT");
+    ASSERT_TRUE(db.Execute(std::string("CREATE TABLE S (ID INTEGER PRIMARY "
+                                       "KEY, V VARCHAR(4))") +
+                           storage)
+                    .ok());
+    ASSERT_TRUE(db.Execute("INSERT INTO S VALUES (1, 'x')").ok());
+    Result<QueryResult> r = db.Execute("SELECT SUM(V) FROM S");
+    ASSERT_FALSE(r.ok()) << storage;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << storage;
+  }
+}
+
+TEST(AggStateTest, SplitAndMergeMatchesOnePass) {
+  const std::vector<std::vector<Value>> inputs = {
+      // Integer-only, across both rails and past 2^53: exact everywhere.
+      {Value::Integer(kMax), Value::Integer(5), Value::Null(),
+       Value::Integer(kMax), Value::Integer(-3), Value::Integer(kMin),
+       Value::Integer((int64_t{1} << 53) + 1), Value::Null()},
+      // Mixed kinds with exactly representable doubles.
+      {Value::Integer(1), Value::Double(2.5), Value::Null(),
+       Value::Integer(-4), Value::Double(0.25), Value::Integer(7)},
+      // Text: COUNT/MIN/MAX merge, SUM/AVG stay errors.
+      {Value::Varchar("m"), Value::Null(), Value::Varchar("b"),
+       Value::Varchar("z")},
+      // Nothing but NULLs.
+      {Value::Null(), Value::Null()},
+  };
+  for (const std::vector<Value>& values : inputs) {
+    AggState whole = StateOf(values, 0, values.size());
+    for (size_t split = 0; split <= values.size(); ++split) {
+      AggState merged = StateOf(values, 0, split);
+      merged.Merge(StateOf(values, split, values.size()));
+      for (const char* fn : kFns) {
+        EXPECT_EQ(Show(merged.Finish(fn)), Show(whole.Finish(fn)))
+            << fn << " split at " << split;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "db/executor.h"
 #include "db/parser.h"
 #include "db/planner.h"
+#include "testing/naive_executor.h"
 
 namespace easia::db {
 namespace {
@@ -67,7 +68,7 @@ class PlannerTest : public ::testing::Test {
     return joined;
   }
 
-  /// Runs `select_sql` through both the planner and the legacy executor and
+  /// Runs `select_sql` through both the planner and the naive executor and
   /// expects identical result tables (names, order, and every cell).
   void ExpectEquivalent(const std::string& select_sql) {
     Result<Statement> stmt = ParseSql(select_sql);
@@ -78,9 +79,9 @@ class PlannerTest : public ::testing::Test {
       return db_->GetTable(name);
     };
     Result<QueryResult> planned =
-        ExecuteSelect(*stmt->select, lookup, nullptr, {true});
+        ExecuteSelect(*stmt->select, lookup, nullptr);
     Result<QueryResult> naive =
-        ExecuteSelect(*stmt->select, lookup, nullptr, {false});
+        easia::testing::ExecuteSelectNaive(*stmt->select, lookup);
     ASSERT_EQ(planned.ok(), naive.ok())
         << select_sql << "\nplanned: " << planned.status().ToString()
         << "\nnaive:   " << naive.status().ToString();

@@ -16,6 +16,7 @@
 #include "db/store/bulk_loader.h"
 #include "obs/metrics.h"
 #include "sim/network.h"
+#include "testing/naive_executor.h"
 #include "web/cache.h"
 #include "web/server.h"
 #include "web/session.h"
@@ -438,10 +439,8 @@ TEST(ShardJoins, CrossShardFkJoinMatchesSingleNode) {
   TableLookup lookup = [&reference](const std::string& name) {
     return reference.GetTable(name);
   };
-  ExecuteOptions legacy;
-  legacy.use_planner = false;
   Result<QueryResult> naive =
-      ExecuteSelect(*stmt->select, lookup, nullptr, legacy);
+      easia::testing::ExecuteSelectNaive(*stmt->select, lookup);
   Result<QueryResult> sharded = pair.coord().Execute(join_sql);
   ASSERT_TRUE(sharded.ok()) << sharded.status().message();
   ASSERT_TRUE(naive.ok()) << naive.status().message();

@@ -15,6 +15,7 @@
 #include "db/store/bulk_loader.h"
 #include "db/store/column_page.h"
 #include "db/store/radix_index.h"
+#include "testing/naive_executor.h"
 
 namespace easia::db {
 namespace {
@@ -207,15 +208,11 @@ TEST(ColumnStoreTest, AggregateScanZeroRowsAndGroups) {
       {store::AggSpec::Fn::kSum, 2},
       {store::AggSpec::Fn::kMin, 2},
   };
-  // Global group over an empty store: one row, COUNT 0, SUM/MIN NULL.
-  Result<std::vector<store::AggGroup>> r = cs.AggregateScan({}, {}, aggs);
+  // An empty store yields no group, with or without GROUP BY: the
+  // zero-row global group is FinishGroups' rule, checked end to end below.
+  Result<std::vector<AggGroup>> r = cs.AggregateScan({}, {}, aggs);
   ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->size(), 1u);
-  EXPECT_EQ((*r)[0].aggregates[0].AsInt(), 0);
-  EXPECT_TRUE((*r)[0].aggregates[1].is_null());
-  EXPECT_TRUE((*r)[0].aggregates[2].is_null());
-
-  // GROUP BY over an empty store: no groups at all.
+  EXPECT_TRUE(r->empty());
   r = cs.AggregateScan({}, {1}, aggs);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
@@ -227,11 +224,25 @@ TEST(ColumnStoreTest, AggregateScanZeroRowsAndGroups) {
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->size(), 2u);  // first-seen order: "a" then "b"
   EXPECT_EQ((*r)[0].first_row[1].AsString(), "a");
-  EXPECT_EQ((*r)[0].aggregates[0].AsInt(), 2);
-  EXPECT_DOUBLE_EQ((*r)[0].aggregates[1].AsDouble(), 8.0);
-  EXPECT_DOUBLE_EQ((*r)[0].aggregates[2].AsDouble(), 2.0);
+  EXPECT_EQ((*r)[0].rows, 2);
+  EXPECT_DOUBLE_EQ((*r)[0].aggs[1].Finish("SUM")->AsDouble(), 8.0);
+  EXPECT_DOUBLE_EQ((*r)[0].aggs[2].Finish("MIN")->AsDouble(), 2.0);
   EXPECT_EQ((*r)[1].first_row[1].AsString(), "b");
-  EXPECT_EQ((*r)[1].aggregates[0].AsInt(), 1);
+  EXPECT_EQ((*r)[1].rows, 1);
+
+  // Global aggregate over an empty columnar table: one row, COUNT 0,
+  // SUM/MIN NULL.
+  Database db("ZERO");
+  ASSERT_TRUE(db.Execute("CREATE TABLE OBJ (ID INTEGER PRIMARY KEY, "
+                         "NAME VARCHAR(20), MAG DOUBLE) STORE COLUMNAR")
+                  .ok());
+  Result<QueryResult> q =
+      db.Execute("SELECT COUNT(*), SUM(MAG), MIN(MAG) FROM OBJ");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_EQ(q->rows.size(), 1u);
+  EXPECT_EQ(q->rows[0][0].AsInt(), 0);
+  EXPECT_TRUE(q->rows[0][1].is_null());
+  EXPECT_TRUE(q->rows[0][2].is_null());
 }
 
 // ---------------------------------------------------------------------------
@@ -607,14 +618,10 @@ TEST_F(StorePlannerTest, PrefixScanParityWithNaiveExecutor) {
     TableLookup lookup = [this](const std::string& name) {
       return db_->GetTable(name);
     };
-    ExecuteOptions planned_opts;
-    planned_opts.use_planner = true;
-    ExecuteOptions naive_opts;
-    naive_opts.use_planner = false;
     Result<QueryResult> planned =
-        ExecuteSelect(*stmt->select, lookup, nullptr, planned_opts);
+        ExecuteSelect(*stmt->select, lookup, nullptr);
     Result<QueryResult> naive =
-        ExecuteSelect(*stmt->select, lookup, nullptr, naive_opts);
+        easia::testing::ExecuteSelectNaive(*stmt->select, lookup);
     ASSERT_TRUE(planned.ok()) << sql;
     ASSERT_TRUE(naive.ok()) << sql;
     ASSERT_EQ(planned->rows.size(), naive->rows.size()) << sql;
@@ -732,14 +739,9 @@ TEST_F(SecondaryIndexTest, PlannedIndexScanAgreesAfterChurn) {
   TableLookup lookup = [this](const std::string& name) {
     return db_->GetTable(name);
   };
-  ExecuteOptions planned_opts;
-  planned_opts.use_planner = true;
-  ExecuteOptions naive_opts;
-  naive_opts.use_planner = false;
-  Result<QueryResult> planned =
-      ExecuteSelect(*stmt->select, lookup, nullptr, planned_opts);
+  Result<QueryResult> planned = ExecuteSelect(*stmt->select, lookup, nullptr);
   Result<QueryResult> naive =
-      ExecuteSelect(*stmt->select, lookup, nullptr, naive_opts);
+      easia::testing::ExecuteSelectNaive(*stmt->select, lookup);
   ASSERT_TRUE(planned.ok());
   ASSERT_TRUE(naive.ok());
   ASSERT_EQ(planned->rows.size(), naive->rows.size());

@@ -1,3 +1,5 @@
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "common/string_util.h"
@@ -45,6 +47,13 @@ struct PaperRow {
   uint64_t bytes;
   const char* expected;
 };
+
+// Names each case by its table cell, so the test names are the same on
+// every run (the default printer dumps the raw bytes, pointers included).
+void PrintTo(const PaperRow& row, std::ostream* os) {
+  *os << row.when << (row.to_southampton ? " to" : " from") << " Southampton "
+      << row.bytes / kMegabyte << "MB";
+}
 
 class PaperTableTest : public ::testing::TestWithParam<PaperRow> {};
 
