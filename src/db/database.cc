@@ -103,13 +103,10 @@ Status Database::Recover() {
     EASIA_RETURN_IF_ERROR(LoadSnapshot(options_.snapshot_path));
   }
   if (options_.wal_path.empty()) return Status::OK();
-  // Close the writer while replaying (it holds the file in append mode,
-  // which is fine, but keep the logic simple and reopen after).
-  EASIA_ASSIGN_OR_RETURN(std::vector<WalRecord> records,
-                         ReadWal(env_, options_.wal_path));
-  // Group records by txn; apply only committed transactions, in log order.
-  std::map<uint64_t, std::vector<const WalRecord*>> pending;
-  for (const WalRecord& rec : records) {
+  // Replay frame by frame, holding only the records of transactions that
+  // are still open; committed ones apply in log order at their commit.
+  std::map<uint64_t, std::vector<WalRecord>> pending;
+  return ScanWal(env_, options_.wal_path, [&](WalRecord&& rec) -> Status {
     switch (rec.type) {
       case WalRecordType::kBegin:
         pending[rec.txn_id].clear();
@@ -120,8 +117,8 @@ Status Database::Recover() {
       case WalRecordType::kCommit: {
         auto it = pending.find(rec.txn_id);
         if (it == pending.end()) break;
-        for (const WalRecord* op : it->second) {
-          EASIA_RETURN_IF_ERROR(ApplyWalOp(*op));
+        for (const WalRecord& op : it->second) {
+          EASIA_RETURN_IF_ERROR(ApplyWalOp(op));
         }
         // Replayed work counts like live work: without this, counters on
         // /metrics would read lower after a crash than before it even
@@ -131,10 +128,10 @@ Status Database::Recover() {
         break;
       }
       default:
-        pending[rec.txn_id].push_back(&rec);
+        pending[rec.txn_id].push_back(std::move(rec));
     }
-  }
-  return Status::OK();
+    return Status::OK();
+  });
 }
 
 Status Database::ApplyWalOp(const WalRecord& op) {

@@ -78,19 +78,28 @@ Result<std::vector<WalRecord>> ReadWal(const std::string& path) {
   return ReadWal(io::RealEnv(), path);
 }
 
-Result<std::vector<WalRecord>> ReadWal(io::Env* env,
-                                       const std::string& path) {
-  std::vector<WalRecord> records;
+Status ScanWal(io::Env* env, const std::string& path,
+               const std::function<Status(WalRecord&&)>& visit) {
   Result<std::string> contents = env->ReadFileToString(path);
   if (!contents.ok()) {
-    if (contents.status().IsNotFound()) return records;  // no log yet
+    if (contents.status().IsNotFound()) return Status::OK();  // no log yet
     return contents.status();
   }
   for (std::string_view payload : io::ScanFrames(*contents)) {
     Result<WalRecord> rec = WalRecord::Decode(payload);
     if (!rec.ok()) break;  // corrupt tail
-    records.push_back(std::move(*rec));
+    EASIA_RETURN_IF_ERROR(visit(std::move(*rec)));
   }
+  return Status::OK();
+}
+
+Result<std::vector<WalRecord>> ReadWal(io::Env* env,
+                                       const std::string& path) {
+  std::vector<WalRecord> records;
+  EASIA_RETURN_IF_ERROR(ScanWal(env, path, [&records](WalRecord&& rec) {
+    records.push_back(std::move(rec));
+    return Status::OK();
+  }));
   return records;
 }
 

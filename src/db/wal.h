@@ -1,6 +1,7 @@
 #ifndef EASIA_DB_WAL_H_
 #define EASIA_DB_WAL_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -73,8 +74,14 @@ class WalWriter {
   std::unique_ptr<WalFile> file_;
 };
 
-/// Reads every intact record from a log file; stops silently at the first
-/// torn or corrupt frame (standard redo-log semantics).
+/// Decodes the intact records of a log file one frame at a time, handing
+/// each to `visit` in log order; stops silently at the first torn or
+/// corrupt frame (standard redo-log semantics). A missing file has no
+/// records. A non-OK status from `visit` ends the scan and is returned.
+Status ScanWal(io::Env* env, const std::string& path,
+               const std::function<Status(WalRecord&&)>& visit);
+
+/// Reads every intact record from a log file (ScanWal into a vector).
 Result<std::vector<WalRecord>> ReadWal(const std::string& path);
 Result<std::vector<WalRecord>> ReadWal(io::Env* env, const std::string& path);
 

@@ -1,6 +1,8 @@
 #include "ops/engine.h"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 
 #include "common/string_util.h"
 #include "fileserver/url.h"
@@ -464,8 +466,13 @@ Result<OperationResult> OperationEngine::ExecuteScript(
     return Status::FailedPrecondition(
         "uploaded code cannot run over a sparse (simulated) dataset");
   }
-  EASIA_ASSIGN_OR_RETURN(std::string dataset_bytes,
-                         server->vfs().ReadFile(url.path));
+  EASIA_ASSIGN_OR_RETURN(std::string bytes, server->vfs().ReadFile(url.path));
+  // The invocation's one copy of the dataset, shared by every host
+  // function that reads it. The first tbf_* call decodes it; later calls
+  // in this run reuse the field (or the decode error). Nothing outlives
+  // the invocation.
+  auto dataset = std::make_shared<const std::string>(std::move(bytes));
+  auto decoded = std::make_shared<std::optional<Result<turb::Field>>>();
 
   // Sandboxed host functions: the script sees exactly the dataset file and
   // a write-only relative-name output surface (the paper's temp dir).
@@ -475,13 +482,13 @@ Result<OperationResult> OperationEngine::ExecuteScript(
   script::Interpreter interp(sandbox_limits_);
   using script::ScriptValue;
   interp.RegisterFunction(
-      "read", [dataset_bytes, dataset_path, written](
+      "read", [dataset, dataset_path, written](
                   std::vector<ScriptValue>& args) -> Result<ScriptValue> {
         if (args.size() != 1 || !args[0].IsString()) {
           return Status::InvalidArgument("read(name) expects a string");
         }
         const std::string& name = args[0].AsString();
-        if (name == dataset_path) return ScriptValue::Str(dataset_bytes);
+        if (name == dataset_path) return ScriptValue::Str(*dataset);
         for (const auto& [n, bytes] : *written) {
           if (n == name) return ScriptValue::Str(bytes);
         }
@@ -510,13 +517,16 @@ Result<OperationResult> OperationEngine::ExecuteScript(
       });
   // TBF helpers so uploaded codes can post-process without re-implementing
   // the format byte-by-byte.
-  auto load_field = [dataset_bytes, dataset_path](
-                        const ScriptValue& arg) -> Result<turb::Field> {
+  auto load_field = [dataset, decoded, dataset_path](
+                        const ScriptValue& arg) -> Result<const turb::Field*> {
     if (!arg.IsString() || arg.AsString() != dataset_path) {
       return Status::PermissionDenied(
           "sandbox: tbf_* functions accept only the dataset file");
     }
-    return turb::ParseTbf(dataset_bytes);
+    if (!decoded->has_value()) decoded->emplace(turb::ParseTbf(*dataset));
+    const Result<turb::Field>& field = **decoded;
+    if (!field.ok()) return field.status();
+    return &*field;
   };
   interp.RegisterFunction(
       "tbf_n", [load_field](std::vector<ScriptValue>& args)
@@ -524,8 +534,8 @@ Result<OperationResult> OperationEngine::ExecuteScript(
         if (args.size() != 1) {
           return Status::InvalidArgument("tbf_n(file)");
         }
-        EASIA_ASSIGN_OR_RETURN(turb::Field field, load_field(args[0]));
-        return ScriptValue::Number(static_cast<double>(field.n()));
+        EASIA_ASSIGN_OR_RETURN(const turb::Field* field, load_field(args[0]));
+        return ScriptValue::Number(static_cast<double>(field->n()));
       });
   interp.RegisterFunction(
       "tbf_slice",
@@ -535,7 +545,7 @@ Result<OperationResult> OperationEngine::ExecuteScript(
           return Status::InvalidArgument(
               "tbf_slice(file, axis, index, component)");
         }
-        EASIA_ASSIGN_OR_RETURN(turb::Field field, load_field(args[0]));
+        EASIA_ASSIGN_OR_RETURN(const turb::Field* field, load_field(args[0]));
         EASIA_ASSIGN_OR_RETURN(turb::Component comp,
                                turb::ComponentFromName(args[3].AsString()));
         if (args[1].AsString().empty()) {
@@ -543,8 +553,8 @@ Result<OperationResult> OperationEngine::ExecuteScript(
         }
         EASIA_ASSIGN_OR_RETURN(
             turb::Slice2D slice,
-            field.Slice(args[1].AsString()[0],
-                        static_cast<size_t>(args[2].AsNumber()), comp));
+            field->Slice(args[1].AsString()[0],
+                         static_cast<size_t>(args[2].AsNumber()), comp));
         std::vector<ScriptValue> values;
         values.reserve(slice.values.size());
         for (double v : slice.values) values.push_back(ScriptValue::Number(v));
@@ -556,10 +566,10 @@ Result<OperationResult> OperationEngine::ExecuteScript(
         if (args.size() != 2 || !args[1].IsString()) {
           return Status::InvalidArgument("tbf_stats(file, component)");
         }
-        EASIA_ASSIGN_OR_RETURN(turb::Field field, load_field(args[0]));
+        EASIA_ASSIGN_OR_RETURN(const turb::Field* field, load_field(args[0]));
         EASIA_ASSIGN_OR_RETURN(turb::Component comp,
                                turb::ComponentFromName(args[1].AsString()));
-        turb::FieldStats s = field.Stats(comp);
+        turb::FieldStats s = field->Stats(comp);
         return ScriptValue::ArrayOf({ScriptValue::Number(s.min),
                                      ScriptValue::Number(s.max),
                                      ScriptValue::Number(s.mean),

@@ -75,7 +75,7 @@ Result<TransferRecord> Network::TransferAt(const std::string& from,
   rec.start_epoch = start_epoch;
   if (from == to) {
     rec.duration_seconds = 0;
-    history_.push_back(rec);
+    ++transfers_;
     return rec;
   }
   Link* link = FindLink(from, to);
@@ -98,7 +98,7 @@ Result<TransferRecord> Network::TransferAt(const std::string& from,
       TransferDuration(link->schedule, bytes, start_epoch,
                        link->latency_seconds));
   link->bytes_moved += bytes;
-  history_.push_back(rec);
+  ++transfers_;
   return rec;
 }
 
@@ -151,7 +151,7 @@ uint64_t Network::TotalTraffic() const {
 
 void Network::ResetMeters() {
   for (auto& [key, link] : links_) link.bytes_moved = 0;
-  history_.clear();
+  transfers_ = 0;
 }
 
 }  // namespace easia::sim

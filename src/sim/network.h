@@ -3,7 +3,6 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/random.h"
@@ -94,12 +93,13 @@ class Network {
   void SeedFaults(uint64_t seed) { fault_rng_ = Random(seed); }
   /// Transfers dropped by link-down or loss faults since construction.
   uint64_t transfers_dropped() const { return transfers_dropped_; }
+  /// Completed transfers (local ones included) since the last ResetMeters.
+  uint64_t transfers() const { return transfers_; }
 
   /// Total bytes metered over the link from -> to.
   uint64_t LinkTraffic(const std::string& from, const std::string& to) const;
   /// Total bytes metered over all links.
   uint64_t TotalTraffic() const;
-  const std::vector<TransferRecord>& history() const { return history_; }
   void ResetMeters();
 
  private:
@@ -117,9 +117,9 @@ class Network {
   ManualClock clock_;
   std::map<std::string, HostSpec> hosts_;
   std::map<std::pair<std::string, std::string>, Link> links_;
-  std::vector<TransferRecord> history_;
   Random fault_rng_{1};
   uint64_t transfers_dropped_ = 0;
+  uint64_t transfers_ = 0;
 };
 
 }  // namespace easia::sim

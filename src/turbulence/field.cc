@@ -78,12 +78,29 @@ Field::Field(size_t n, double t, double nu)
     : n_(n),
       time_(t),
       nu_(nu),
-      u_(n * n * n),
-      v_(n * n * n),
-      w_(n * n * n),
-      p_(n * n * n) {}
+      u_(n * n * n, 0.0),
+      v_(n * n * n, 0.0),
+      w_(n * n * n, 0.0),
+      p_(n * n * n, 0.0) {}
 
 Field Field::Zero(size_t n, double t, double nu) { return Field(n, t, nu); }
+
+Result<Field> Field::FromComponents(size_t n, double t, double nu, Samples u,
+                                    Samples v, Samples w, Samples p) {
+  size_t count = n * n * n;
+  if (u.size() != count || v.size() != count || w.size() != count ||
+      p.size() != count) {
+    return Status::InvalidArgument(
+        StrPrintf("field components must hold %zu samples each", count));
+  }
+  Field field(0, t, nu);
+  field.n_ = n;
+  field.u_ = std::move(u);
+  field.v_ = std::move(v);
+  field.w_ = std::move(w);
+  field.p_ = std::move(p);
+  return field;
+}
 
 Field Field::Generate(size_t n, double t, double nu) {
   Field field(n, t, nu);
@@ -106,7 +123,7 @@ Field Field::Generate(size_t n, double t, double nu) {
   return field;
 }
 
-const std::vector<double>& Field::Data(Component c) const {
+const Field::Samples& Field::Data(Component c) const {
   switch (c) {
     case Component::kU: return u_;
     case Component::kV: return v_;
@@ -116,8 +133,8 @@ const std::vector<double>& Field::Data(Component c) const {
   return u_;
 }
 
-std::vector<double>& Field::MutableData(Component c) {
-  return const_cast<std::vector<double>&>(Data(c));
+Field::Samples& Field::MutableData(Component c) {
+  return const_cast<Samples&>(Data(c));
 }
 
 double Field::At(Component c, size_t i, size_t j, size_t k) const {
@@ -165,7 +182,7 @@ Result<Slice2D> Field::Slice(char axis, size_t index,
 }
 
 FieldStats Field::Stats(Component component) const {
-  const std::vector<double>& data = Data(component);
+  const Samples& data = Data(component);
   FieldStats s;
   s.count = data.size();
   if (data.empty()) return s;

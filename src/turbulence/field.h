@@ -2,6 +2,8 @@
 #define EASIA_TURBULENCE_FIELD_H_
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,16 +59,40 @@ struct Slice2D {
   uint64_t RawBytes() const { return values.size() * sizeof(double); }
 };
 
+/// Allocator whose argument-less construct() default-initialises, so
+/// `resize` leaves new doubles unwritten for a bulk decoder to overwrite
+/// instead of zeroing them first.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  using std::allocator<T>::allocator;
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
 /// A materialised 3-D field snapshot: u,v,w,p on an n³ uniform grid over
 /// [0,2pi)³ at one timestep.
 class Field {
  public:
+  /// One component's n³ samples in storage order, index (i*n + j)*n + k.
+  using Samples = std::vector<double, DefaultInitAllocator<double>>;
+
   /// Generates the Taylor–Green field on an n³ grid at time `t`.
   static Field Generate(size_t n, double t, double nu = 0.01);
 
-  /// Allocates an all-zero field carrying the given metadata (deserialisers
-  /// fill it in).
+  /// Allocates an all-zero field carrying the given metadata (builders such
+  /// as the Subsample operation fill it in with Set).
   static Field Zero(size_t n, double t, double nu);
+
+  /// Adopts four already-decoded components; each must hold n³ samples.
+  static Result<Field> FromComponents(size_t n, double t, double nu,
+                                      Samples u, Samples v, Samples w,
+                                      Samples p);
 
   size_t n() const { return n_; }
   double time() const { return time_; }
@@ -74,6 +100,9 @@ class Field {
 
   double At(Component c, size_t i, size_t j, size_t k) const;
   void Set(Component c, size_t i, size_t j, size_t k, double v);
+
+  /// Read-only view of one component in storage order (bulk encoders).
+  std::span<const double> Values(Component c) const { return Data(c); }
 
   /// Extracts the 2-D plane with the given normal axis and plane index.
   Result<Slice2D> Slice(char axis, size_t index, Component component) const;
@@ -91,13 +120,13 @@ class Field {
 
  private:
   Field(size_t n, double t, double nu);
-  const std::vector<double>& Data(Component c) const;
-  std::vector<double>& MutableData(Component c);
+  const Samples& Data(Component c) const;
+  Samples& MutableData(Component c);
 
   size_t n_;
   double time_;
   double nu_;
-  std::vector<double> u_, v_, w_, p_;
+  Samples u_, v_, w_, p_;
 };
 
 }  // namespace easia::turb

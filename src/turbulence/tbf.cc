@@ -1,38 +1,78 @@
 #include "turbulence/tbf.h"
 
+#include <bit>
+#include <cstdint>
+#include <cstring>
+#include <span>
+
 #include "common/coding.h"
 #include "common/string_util.h"
 
 namespace easia::turb {
 
 namespace {
+
 constexpr std::string_view kMagic = "TBF1";
+/// Magic, then u32 n, u32 timestep, f64 time, f64 nu.
+constexpr size_t kHeaderBytes = 4 + 24;
+constexpr Component kComponents[] = {Component::kU, Component::kV,
+                                     Component::kW, Component::kP};
+
+/// Writes `values` to `dst` as little-endian IEEE-754 doubles.
+void EncodeDoubles(std::span<const double> values, char* dst) {
+  if (values.empty()) return;  // memcpy needs non-null pointers
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, values.data(), values.size() * sizeof(double));
+  } else {
+    for (double v : values) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      for (int b = 0; b < 8; ++b) *dst++ = static_cast<char>(bits >> (8 * b));
+    }
+  }
 }
 
-std::string SerializeTbf(const Field& field, uint32_t timestep) {
-  std::string out;
-  out += kMagic;
-  PutU32(&out, static_cast<uint32_t>(field.n()));
-  PutU32(&out, timestep);
-  PutDouble(&out, field.time());
-  PutDouble(&out, field.nu());
-  size_t n = field.n();
-  out.reserve(out.size() + 4 * n * n * n * sizeof(double));
-  for (Component c :
-       {Component::kU, Component::kV, Component::kW, Component::kP}) {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        for (size_t k = 0; k < n; ++k) {
-          PutDouble(&out, field.At(c, i, j, k));
-        }
+/// Reads `count` little-endian IEEE-754 doubles from `src`.
+Field::Samples DecodeDoubles(const char* src, size_t count) {
+  Field::Samples out(count);  // default-initialised: no zero fill
+  if (count == 0) return out;  // memcpy needs non-null pointers
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out.data(), src, count * sizeof(double));
+  } else {
+    for (double& v : out) {
+      uint64_t bits = 0;
+      for (int b = 0; b < 8; ++b) {
+        bits |= static_cast<uint64_t>(static_cast<uint8_t>(*src++)) << (8 * b);
       }
+      std::memcpy(&v, &bits, sizeof v);
     }
   }
   return out;
 }
 
+}  // namespace
+
+std::string SerializeTbf(const Field& field, uint32_t timestep) {
+  size_t n = field.n();
+  size_t component_bytes = n * n * n * sizeof(double);
+  std::string out;
+  out.reserve(kHeaderBytes + 4 * component_bytes);
+  out += kMagic;
+  PutU32(&out, static_cast<uint32_t>(n));
+  PutU32(&out, timestep);
+  PutDouble(&out, field.time());
+  PutDouble(&out, field.nu());
+  out.resize(kHeaderBytes + 4 * component_bytes);
+  char* dst = out.data() + kHeaderBytes;
+  for (Component c : kComponents) {
+    EncodeDoubles(field.Values(c), dst);
+    dst += component_bytes;
+  }
+  return out;
+}
+
 Result<TbfHeader> ParseTbfHeader(std::string_view bytes) {
-  if (bytes.size() < kMagic.size() + 24 ||
+  if (bytes.size() < kHeaderBytes ||
       bytes.substr(0, kMagic.size()) != kMagic) {
     return Status::Corruption("not a TBF file");
   }
@@ -48,26 +88,28 @@ Result<TbfHeader> ParseTbfHeader(std::string_view bytes) {
 Result<Field> ParseTbf(std::string_view bytes) {
   EASIA_ASSIGN_OR_RETURN(TbfHeader header, ParseTbfHeader(bytes));
   size_t n = header.n;
-  size_t expected = kMagic.size() + 24 + 4 * n * n * n * sizeof(double);
+  size_t count = n * n * n;
+  // n is a u32, so n*n fits; n*n*n and the byte total may not, and a
+  // wrapped total must not pass the size check below.
+  if (n != 0 && (count / (n * n) != n ||
+                 count > (SIZE_MAX - kHeaderBytes) / (4 * sizeof(double)))) {
+    return Status::Corruption(StrPrintf("TBF grid too large: n=%zu", n));
+  }
+  size_t expected = kHeaderBytes + 4 * count * sizeof(double);
   if (bytes.size() != expected) {
     return Status::Corruption(
         StrPrintf("TBF size mismatch: got %zu, want %zu", bytes.size(),
                   expected));
   }
-  Field field = Field::Zero(n, header.time, header.nu);
-  Decoder dec(bytes.substr(kMagic.size() + 24));
-  for (Component c :
-       {Component::kU, Component::kV, Component::kW, Component::kP}) {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        for (size_t k = 0; k < n; ++k) {
-          EASIA_ASSIGN_OR_RETURN(double v, dec.GetDouble());
-          field.Set(c, i, j, k, v);
-        }
-      }
-    }
+  const char* src = bytes.data() + kHeaderBytes;
+  Field::Samples parts[4];
+  for (Field::Samples& part : parts) {
+    part = DecodeDoubles(src, count);
+    src += count * sizeof(double);
   }
-  return field;
+  return Field::FromComponents(n, header.time, header.nu, std::move(parts[0]),
+                               std::move(parts[1]), std::move(parts[2]),
+                               std::move(parts[3]));
 }
 
 std::string DatasetSpec::FileName() const {

@@ -436,6 +436,43 @@ TEST_F(EngineTest, SandboxBlocksForeignTbfAccess) {
   EXPECT_TRUE(s.IsPermissionDenied());
 }
 
+TEST_F(EngineTest, EveryTbfHelperReportsTheSameDecodeError) {
+  // A truncated dataset: each tbf_* helper must surface the codec's own
+  // error, whether it is the first to decode or not.
+  std::string corrupt =
+      turb::SerializeTbf(turb::Field::Generate(8, 0.0, 0.01), 0);
+  corrupt.resize(corrupt.size() - 3);
+  const std::string url = "http://fs1/archive/corrupt.tbf";
+  auto resolved = archive_->fleet().Resolve(url);
+  ASSERT_TRUE(resolved.ok());
+  ASSERT_TRUE(
+      resolved->first->vfs().WriteFile(resolved->second.path, corrupt).ok());
+  Status want = turb::ParseTbf(corrupt).status();
+  ASSERT_TRUE(want.IsCorruption());
+
+  xuis::UploadSpec upload;
+  upload.format = "ea";
+  struct Case {
+    const char* code;
+    const char* context;  // where the interpreter reports the failure
+  };
+  for (const Case& c : {
+           Case{"tbf_n(arg(0));", "eascript:1: tbf_n()"},
+           Case{"tbf_slice(arg(0), \"x\", 0, \"u\");",
+                "eascript:1: tbf_slice()"},
+           Case{"tbf_stats(arg(0), \"p\");", "eascript:1: tbf_stats()"},
+           Case{"let b = read(arg(0));\ntbf_stats(arg(0), \"u\");",
+                "eascript:2: tbf_stats()"},
+       }) {
+    Status s = archive_->engine()
+                   .RunUploadedCode(upload, c.code, "main.ea", url, {},
+                                    AuthorisedCtx())
+                   .status();
+    EXPECT_EQ(s, want.WithContext(c.context)) << c.code << " -> "
+                                              << s.ToString();
+  }
+}
+
 TEST_F(EngineTest, UploadedBundleFormat) {
   xuis::UploadSpec upload;
   upload.type = "EASCRIPT";

@@ -151,7 +151,7 @@ TEST(NetworkTest, TransferAdvancesClockAndMeters) {
   EXPECT_EQ(net.LinkTraffic("a", "b"), 5 * kMegabyte);
   EXPECT_EQ(net.LinkTraffic("b", "a"), 0u);
   EXPECT_EQ(net.TotalTraffic(), 5 * kMegabyte);
-  EXPECT_EQ(net.history().size(), 1u);
+  EXPECT_EQ(net.transfers(), 1u);
 }
 
 TEST(NetworkTest, MissingLinkOrHostFails) {
@@ -189,7 +189,7 @@ TEST(NetworkTest, ResetMetersClears) {
   ASSERT_TRUE(net.Transfer("a", "b", 1000).ok());
   net.ResetMeters();
   EXPECT_EQ(net.TotalTraffic(), 0u);
-  EXPECT_TRUE(net.history().empty());
+  EXPECT_EQ(net.transfers(), 0u);
 }
 
 }  // namespace

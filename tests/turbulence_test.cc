@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
+#include "common/coding.h"
 #include "fileserver/file_server.h"
 #include "turbulence/field.h"
 #include "turbulence/tbf.h"
@@ -150,6 +154,153 @@ TEST(TbfTest, RejectsGarbage) {
   std::string bytes = SerializeTbf(field, 0);
   bytes.resize(bytes.size() - 10);  // truncated
   EXPECT_FALSE(ParseTbf(bytes).ok());
+}
+
+// ---- Bulk codec against the element-wise oracle ----
+
+constexpr Component kAllComponents[] = {Component::kU, Component::kV,
+                                        Component::kW, Component::kP};
+
+/// The element-wise encoder the bulk codec replaced: every value through
+/// PutDouble, in component, then i, j, k order.
+std::string OracleSerialize(const Field& field, uint32_t timestep) {
+  std::string out = "TBF1";
+  PutU32(&out, static_cast<uint32_t>(field.n()));
+  PutU32(&out, timestep);
+  PutDouble(&out, field.time());
+  PutDouble(&out, field.nu());
+  size_t n = field.n();
+  for (Component c : kAllComponents) {
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < n; ++j) {
+        for (size_t k = 0; k < n; ++k) PutDouble(&out, field.At(c, i, j, k));
+      }
+    }
+  }
+  return out;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+double FromBits(uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof v);
+  return v;
+}
+
+/// A generated field with IEEE-754 edge values planted in every component.
+Field FieldWithSpecialValues(size_t n) {
+  Field field = Field::Generate(n, 0.75, 0.02);
+  const double specials[] = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      FromBits(0x7ff8000000000001ULL),  // quiet NaN with a payload
+      FromBits(0x7ff0000000000abcULL),  // signalling NaN with a payload
+      FromBits(0xfff8dead0000beefULL),  // negative NaN with a payload
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      FromBits(0x000fffffffffffffULL),  // largest denormal
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+  };
+  size_t slot = 0;
+  for (Component c : kAllComponents) {
+    for (double v : specials) {
+      size_t idx = (slot++ * 7919) % (n * n * n);
+      field.Set(c, idx / (n * n), (idx / n) % n, idx % n, v);
+    }
+  }
+  return field;
+}
+
+TEST(TbfCodecTest, BulkSerializeMatchesElementwiseOracle) {
+  for (size_t n : {1u, 3u, 8u}) {
+    Field field = FieldWithSpecialValues(n);
+    EXPECT_EQ(SerializeTbf(field, 42), OracleSerialize(field, 42)) << n;
+  }
+  Field empty = Field::Zero(0, 1.0, 0.5);
+  EXPECT_EQ(SerializeTbf(empty, 1), OracleSerialize(empty, 1));
+}
+
+TEST(TbfCodecTest, BulkParseReturnsTheOracleBits) {
+  Field field = FieldWithSpecialValues(8);
+  std::string bytes = OracleSerialize(field, 9);
+  Result<Field> back = ParseTbf(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->n(), 8u);
+  EXPECT_EQ(Bits(back->time()), Bits(field.time()));
+  EXPECT_EQ(Bits(back->nu()), Bits(field.nu()));
+  // Decode the payload element by element, as the old parser did, and
+  // compare bit patterns (NaN payloads and the sign of zero included).
+  Decoder dec(std::string_view(bytes).substr(28));
+  size_t checked = 0;
+  for (Component c : kAllComponents) {
+    for (size_t i = 0; i < 8; ++i) {
+      for (size_t j = 0; j < 8; ++j) {
+        for (size_t k = 0; k < 8; ++k) {
+          Result<double> want = dec.GetDouble();
+          ASSERT_TRUE(want.ok());
+          ASSERT_EQ(Bits(back->At(c, i, j, k)), Bits(*want))
+              << ComponentName(c) << " " << i << "," << j << "," << k;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 4u * 512u);
+  EXPECT_TRUE(dec.Done());
+  // And the round trip reproduces the bytes exactly.
+  EXPECT_EQ(SerializeTbf(*back, 9), bytes);
+}
+
+TEST(TbfCodecTest, TruncatedAndOversizedInputsKeepTheirMessages) {
+  std::string bytes = SerializeTbf(Field::Generate(4, 0, 0.01), 0);
+  const size_t want = bytes.size();
+  EXPECT_EQ(ParseTbf("not a tbf").status().message(), "not a TBF file");
+  EXPECT_EQ(ParseTbf(bytes.substr(0, 27)).status().message(),
+            "not a TBF file");
+  for (size_t size : {size_t{28}, want - 1, want - 8, want + 1, want + 8}) {
+    std::string resized = bytes;
+    resized.resize(size, '\x7f');
+    Result<Field> parsed = ParseTbf(resized);
+    ASSERT_FALSE(parsed.ok()) << size;
+    EXPECT_TRUE(parsed.status().IsCorruption()) << size;
+    EXPECT_EQ(parsed.status().message(),
+              "TBF size mismatch: got " + std::to_string(size) + ", want " +
+                  std::to_string(want));
+  }
+}
+
+TEST(TbfCodecTest, GridSizeThatWrapsTheByteCountIsRejected) {
+  // n = 2^22: n^3 * 32 wraps to 0 in 64 bits, so a bare 28-byte header
+  // would pass a naive size check and then read far past the input.
+  std::string bytes = "TBF1";
+  PutU32(&bytes, 1u << 22);
+  PutU32(&bytes, 0);
+  PutDouble(&bytes, 0);
+  PutDouble(&bytes, 0);
+  Result<Field> parsed = ParseTbf(bytes);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsCorruption());
+}
+
+TEST(TbfCodecTest, FromComponentsChecksSampleCounts) {
+  Field::Samples full(8, 1.0), short_one(7, 1.0);
+  Result<Field> ok = Field::FromComponents(2, 0.5, 0.01, full, full, full,
+                                           full);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok->At(Component::kP, 1, 1, 1), 1.0);
+  EXPECT_EQ(Field::FromComponents(2, 0.5, 0.01, full, full, short_one,
+                                  full)
+                  .status()
+                  .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(DatasetSpecTest, SizesMatchPaperScale) {
