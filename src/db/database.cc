@@ -670,10 +670,7 @@ Result<QueryResult> Database::ExecUpdate(const UpdateStmt& stmt,
   EASIA_ASSIGN_OR_RETURN(Table * table, GetMutableTable(stmt.table));
   const TableDef& def = table->def();
   // Single-table schema for predicate/assignment evaluation.
-  std::vector<ColumnBinding> schema;
-  for (const ColumnDef& col : def.columns) {
-    schema.push_back({def.name, col.name, col.type, &col});
-  }
+  const std::vector<ColumnBinding> schema = SchemaOf(def, def.name);
   std::vector<std::pair<size_t, const Expr*>> sets;
   for (const auto& [col, expr] : stmt.assignments) {
     EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col));
@@ -681,21 +678,11 @@ Result<QueryResult> Database::ExecUpdate(const UpdateStmt& stmt,
   }
   // Materialise target row ids first (avoid mutating while scanning).
   std::vector<RowId> targets;
-  Status scan_status = Status::OK();
-  table->ForEachRow([&](RowId id, const Row& row) {
-    if (!scan_status.ok()) return;
-    if (stmt.where != nullptr) {
-      EvalEnv env{&schema, &row};
-      Result<Value> cond = EvalExpr(*stmt.where, env);
-      if (!cond.ok()) {
-        scan_status = cond.status();
-        return;
-      }
-      if (!IsTruthy(*cond)) return;
-    }
-    targets.push_back(id);
-  });
-  EASIA_RETURN_IF_ERROR(scan_status);
+  EASIA_RETURN_IF_ERROR(ForEachMatchingRow(
+      *table, schema, {stmt.where.get()}, [&targets](RowId id, const Row&) {
+        targets.push_back(id);
+        return Status::OK();
+      }));
   size_t updated = 0;
   for (RowId id : targets) {
     EASIA_ASSIGN_OR_RETURN(Row old_row, table->Get(id));
@@ -738,26 +725,13 @@ Result<QueryResult> Database::ExecDelete(const DeleteStmt& stmt,
   (void)ctx;
   EASIA_ASSIGN_OR_RETURN(Table * table, GetMutableTable(stmt.table));
   const TableDef& def = table->def();
-  std::vector<ColumnBinding> schema;
-  for (const ColumnDef& col : def.columns) {
-    schema.push_back({def.name, col.name, col.type, &col});
-  }
   std::vector<RowId> targets;
-  Status scan_status = Status::OK();
-  table->ForEachRow([&](RowId id, const Row& row) {
-    if (!scan_status.ok()) return;
-    if (stmt.where != nullptr) {
-      EvalEnv env{&schema, &row};
-      Result<Value> cond = EvalExpr(*stmt.where, env);
-      if (!cond.ok()) {
-        scan_status = cond.status();
-        return;
-      }
-      if (!IsTruthy(*cond)) return;
-    }
-    targets.push_back(id);
-  });
-  EASIA_RETURN_IF_ERROR(scan_status);
+  EASIA_RETURN_IF_ERROR(ForEachMatchingRow(
+      *table, SchemaOf(def, def.name), {stmt.where.get()},
+      [&targets](RowId id, const Row&) {
+        targets.push_back(id);
+        return Status::OK();
+      }));
   size_t deleted = 0;
   for (RowId id : targets) {
     EASIA_ASSIGN_OR_RETURN(Row old_row, table->Get(id));

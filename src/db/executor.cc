@@ -186,18 +186,54 @@ bool IsTruthy(const Value& value) {
   return !value.AsString().empty();
 }
 
+std::vector<ColumnBinding> SchemaOf(const TableDef& def,
+                                    const std::string& alias) {
+  std::vector<ColumnBinding> schema;
+  for (const ColumnDef& col : def.columns) {
+    schema.push_back({alias, col.name, col.type, &col});
+  }
+  return schema;
+}
+
+namespace {
+
+/// The current row's value of column reference `expr`, in place.
+Result<const Value*> ColumnRef(const Expr& expr, const EvalEnv& env) {
+  if (env.schema == nullptr || env.row == nullptr) {
+    return Status::InvalidArgument("column reference '" + expr.column +
+                                   "' outside row context");
+  }
+  if (env.slots != nullptr) {
+    for (const auto& [node, slot] : *env.slots) {
+      if (node == &expr) return &(*env.row)[slot];
+    }
+  }
+  EASIA_ASSIGN_OR_RETURN(
+      size_t idx, ResolveColumn(*env.schema, expr.table, expr.column));
+  if (env.slots != nullptr) env.slots->emplace_back(&expr, idx);
+  return &(*env.row)[idx];
+}
+
+/// Evaluates `expr` without copying a column or literal operand: the
+/// result points into the current row or the AST. Other kinds are
+/// evaluated into `*scratch`, which the result then points at.
+Result<const Value*> EvalRef(const Expr& expr, const EvalEnv& env,
+                             Value* scratch) {
+  if (expr.kind == Expr::Kind::kLiteral) return &expr.literal;
+  if (expr.kind == Expr::Kind::kColumn) return ColumnRef(expr, env);
+  EASIA_ASSIGN_OR_RETURN(*scratch, EvalExpr(expr, env));
+  return scratch;
+}
+
+}  // namespace
+
 Result<Value> EvalExpr(const Expr& expr, const EvalEnv& env) {
   switch (expr.kind) {
     case Expr::Kind::kLiteral:
       return expr.literal;
     case Expr::Kind::kColumn: {
-      if (env.schema == nullptr || env.row == nullptr) {
-        return Status::InvalidArgument("column reference '" + expr.column +
-                                       "' outside row context");
-      }
-      EASIA_ASSIGN_OR_RETURN(
-          size_t idx, ResolveColumn(*env.schema, expr.table, expr.column));
-      return (*env.row)[idx];
+      EASIA_ASSIGN_OR_RETURN(const Value* v, ColumnRef(expr, env));
+      return *v;
     }
     case Expr::Kind::kUnary: {
       EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr.left, env));
@@ -214,9 +250,13 @@ Result<Value> EvalExpr(const Expr& expr, const EvalEnv& env) {
       return Status::Internal("bad unary operator");
     }
     case Expr::Kind::kBinary: {
-      EASIA_ASSIGN_OR_RETURN(Value lhs, EvalExpr(*expr.left, env));
-      EASIA_ASSIGN_OR_RETURN(Value rhs, EvalExpr(*expr.right, env));
-      return EvalBinary(expr.op, lhs, rhs);
+      Value lhs_scratch;
+      Value rhs_scratch;
+      EASIA_ASSIGN_OR_RETURN(const Value* lhs,
+                             EvalRef(*expr.left, env, &lhs_scratch));
+      EASIA_ASSIGN_OR_RETURN(const Value* rhs,
+                             EvalRef(*expr.right, env, &rhs_scratch));
+      return EvalBinary(expr.op, *lhs, *rhs);
     }
     case Expr::Kind::kIsNull: {
       EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr.left, env));
@@ -238,6 +278,35 @@ Result<Value> EvalExpr(const Expr& expr, const EvalEnv& env) {
       return EvalCall(expr, env);
   }
   return Status::Internal("bad expression kind");
+}
+
+Result<bool> RowFilter::Passes(const Row& row) {
+  EvalEnv env{schema_, &row, &slots_};
+  Value scratch;
+  for (const Expr* e : *conjuncts_) {
+    if (e == nullptr) continue;
+    EASIA_ASSIGN_OR_RETURN(const Value* v, EvalRef(*e, env, &scratch));
+    if (!IsTruthy(*v)) return false;
+  }
+  return true;
+}
+
+Status ForEachMatchingRow(
+    const Table& table, const std::vector<ColumnBinding>& schema,
+    const std::vector<const Expr*>& conjuncts,
+    const std::function<Status(RowId, const Row&)>& fn) {
+  RowFilter filter(schema, conjuncts);
+  Status status;
+  table.ForEachRow([&](RowId id, const Row& row) {
+    if (!status.ok()) return;
+    Result<bool> pass = filter.Passes(row);
+    if (!pass.ok()) {
+      status = std::move(pass).status();
+    } else if (*pass) {
+      status = fn(id, row);
+    }
+  });
+  return status;
 }
 
 namespace {
@@ -281,10 +350,7 @@ Status BuildRowsPlanned(const SelectPlan& plan,
   std::vector<std::vector<ColumnBinding>> scan_schemas(n);
   std::vector<std::vector<ColumnBinding>> cum_schemas(n + 1);
   for (size_t i = 0; i < n; ++i) {
-    for (const ColumnDef& col : plan.scans[i].table->def().columns) {
-      scan_schemas[i].push_back({plan.scans[i].alias, col.name, col.type,
-                                 &col});
-    }
+    scan_schemas[i] = SchemaOf(plan.scans[i].table->def(), plan.scans[i].alias);
     cum_schemas[i + 1] = cum_schemas[i];
     cum_schemas[i + 1].insert(cum_schemas[i + 1].end(),
                               scan_schemas[i].begin(), scan_schemas[i].end());
@@ -301,9 +367,14 @@ Status BuildRowsPlanned(const SelectPlan& plan,
 
   // Materialise each remaining scan through its access path, keeping the
   // source RowId of every surviving row (order restoration needs them).
-  // Pushed predicates are re-evaluated on every fetched row — including
-  // index hits — so the index key coercion can never change which rows
-  // qualify.
+  // A sequential scan filters each stored row in place and copies only
+  // survivors. The other paths fetch candidates first; pushed predicates
+  // are re-evaluated on every fetched row — including index hits — so the
+  // index key coercion can never change which rows qualify.
+  std::vector<RowFilter> scan_filters;
+  for (size_t i = 0; i < n; ++i) {
+    scan_filters.emplace_back(scan_schemas[i], plan.scans[i].pushed);
+  }
   std::vector<std::vector<Row>> base(n);
   std::vector<std::vector<RowId>> base_ids(n);
   for (size_t i = 0; i < n; ++i) {
@@ -311,60 +382,43 @@ Status BuildRowsPlanned(const SelectPlan& plan,
     const ScanPlan& scan = plan.scans[i];
     obs::Tracer::Scope span(tracer, "exec:scan:" + scan.alias);
     TimeGuard tg(profile != nullptr ? &profile->scans[i].seconds : nullptr);
-    std::vector<Row> fetched;
-    std::vector<RowId> fetched_ids;
-    if (scan.access == ScanPlan::Access::kSeqScan) {
-      if (scan.kernel_filter) {
-        // Columnar filter kernel: matching RowIds over the raw arrays, then
-        // materialise only survivors. The pushed predicates are still
-        // re-evaluated below, so the kernel can only narrow the candidate
-        // set, never change which rows qualify.
-        for (RowId id :
-             scan.table->column_store()->FilterScan(scan.kernel_predicates)) {
-          EASIA_ASSIGN_OR_RETURN(Row row, scan.table->Get(id));
-          fetched.push_back(std::move(row));
-          fetched_ids.push_back(id);
-        }
-      } else {
-        scan.table->ForEachRow([&fetched, &fetched_ids](RowId id,
-                                                        const Row& row) {
-          fetched.push_back(row);
-          fetched_ids.push_back(id);
-        });
-      }
-    } else if (scan.access == ScanPlan::Access::kPrefixScan) {
-      // Radix candidates are a superset of the LIKE matches (the pattern's
-      // wildcard tail still applies); the pushed LIKE conjunct below does
-      // the exact filtering.
-      for (RowId id : scan.table->RadixPrefixRowIds(scan.index_columns[0],
-                                                    scan.prefix)) {
-        EASIA_ASSIGN_OR_RETURN(Row row, scan.table->Get(id));
-        fetched.push_back(std::move(row));
-        fetched_ids.push_back(id);
-      }
+    if (scan.access == ScanPlan::Access::kSeqScan && !scan.kernel_filter) {
+      EASIA_RETURN_IF_ERROR(ForEachMatchingRow(
+          *scan.table, scan_schemas[i], scan.pushed,
+          [&](RowId id, const Row& row) {
+            base[i].push_back(row);
+            base_ids[i].push_back(id);
+            return Status::OK();
+          }));
     } else {
-      EASIA_ASSIGN_OR_RETURN(
-          std::vector<RowId> ids,
-          scan.table->FindByIndex(scan.index_columns, scan.key_values));
+      std::vector<RowId> ids;
+      if (scan.access == ScanPlan::Access::kSeqScan) {
+        // Columnar filter kernel: matching RowIds over the raw arrays; it
+        // can only narrow the candidate set, never change which rows
+        // qualify.
+        ids = scan.table->column_store()->FilterScan(scan.kernel_predicates);
+      } else if (scan.access == ScanPlan::Access::kPrefixScan) {
+        // Radix candidates are a superset of the LIKE matches (the
+        // pattern's wildcard tail still applies); the pushed LIKE conjunct
+        // does the exact filtering.
+        ids = scan.table->RadixPrefixRowIds(scan.index_columns[0],
+                                            scan.prefix);
+      } else {
+        EASIA_ASSIGN_OR_RETURN(
+            ids, scan.table->FindByIndex(scan.index_columns, scan.key_values));
+      }
+      std::vector<Row> fetched;
+      fetched.reserve(ids.size());
       for (RowId id : ids) {
         EASIA_ASSIGN_OR_RETURN(Row row, scan.table->Get(id));
         fetched.push_back(std::move(row));
-        fetched_ids.push_back(id);
       }
-    }
-    for (size_t r = 0; r < fetched.size(); ++r) {
-      EvalEnv env{&scan_schemas[i], &fetched[r]};
-      bool keep = true;
-      for (const Expr* e : scan.pushed) {
-        EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env));
-        if (!IsTruthy(v)) {
-          keep = false;
-          break;
+      for (size_t r = 0; r < fetched.size(); ++r) {
+        EASIA_ASSIGN_OR_RETURN(bool keep, scan_filters[i].Passes(fetched[r]));
+        if (keep) {
+          base[i].push_back(std::move(fetched[r]));
+          base_ids[i].push_back(ids[r]);
         }
-      }
-      if (keep) {
-        base[i].push_back(std::move(fetched[r]));
-        base_ids[i].push_back(fetched_ids[r]);
       }
     }
     if (profile != nullptr) {
@@ -421,15 +475,17 @@ Status BuildRowsPlanned(const SelectPlan& plan,
   std::vector<int64_t> join_out(n, 0);   // rows surviving joins[depth-1]
   std::vector<int64_t> loop_scan_rows(n, 0);  // index-loop fetched+filtered
   const int64_t cutoff = plan.row_cutoff;
+  RowFilter residual(cum_schemas[n], plan.residual_where);
+  std::vector<RowFilter> join_filters;  // joins[j] runs on cum_schemas[j + 2]
+  for (size_t j = 0; j + 1 < n; ++j) {
+    join_filters.emplace_back(cum_schemas[j + 2], plan.joins[j].residual);
+  }
   std::function<Result<bool>(Row&, size_t)> extend =
       [&](Row& so_far, size_t depth) -> Result<bool> {
     TimeGuard tg(profile != nullptr ? &incl[depth] : nullptr);
     if (depth == n) {
-      EvalEnv env{&cum_schemas[n], &so_far};
-      for (const Expr* e : plan.residual_where) {
-        EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env));
-        if (!IsTruthy(v)) return false;
-      }
+      EASIA_ASSIGN_OR_RETURN(bool keep, residual.Passes(so_far));
+      if (!keep) return false;
       if (restore) {
         KeyedRow kr;
         kr.key.reserve(n);
@@ -453,15 +509,7 @@ Status BuildRowsPlanned(const SelectPlan& plan,
       size_t old_size = so_far.size();
       so_far.insert(so_far.end(), right.begin(), right.end());
       rid_stack[depth] = rid;
-      bool keep = true;
-      EvalEnv env{&cum_schemas[depth + 1], &so_far};
-      for (const Expr* e : join.residual) {
-        EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env));
-        if (!IsTruthy(v)) {
-          keep = false;
-          break;
-        }
-      }
+      EASIA_ASSIGN_OR_RETURN(bool keep, join_filters[depth - 1].Passes(so_far));
       bool stop = false;
       if (keep) {
         ++join_out[depth - 1];
@@ -504,15 +552,7 @@ Status BuildRowsPlanned(const SelectPlan& plan,
           scan.table->FindByIndex(join.index_columns, key_values));
       for (RowId id : ids) {
         EASIA_ASSIGN_OR_RETURN(Row row, scan.table->Get(id));
-        EvalEnv renv{&scan_schemas[depth], &row};
-        bool keep = true;
-        for (const Expr* e : scan.pushed) {
-          EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, renv));
-          if (!IsTruthy(v)) {
-            keep = false;
-            break;
-          }
-        }
+        EASIA_ASSIGN_OR_RETURN(bool keep, scan_filters[depth].Passes(row));
         if (!keep) continue;
         ++loop_scan_rows[depth];
         EASIA_ASSIGN_OR_RETURN(bool stop, try_right(row, id));
@@ -585,12 +625,9 @@ Result<QueryResult> ExecuteAggregateFast(const SelectStmt& stmt,
       scan.table->column_store()->AggregateScan(scan.kernel_predicates,
                                                 plan.aggregate.group_by_cols,
                                                 plan.aggregate.aggs));
-  std::vector<ColumnBinding> schema;
-  for (const ColumnDef& col : scan.table->def().columns) {
-    schema.push_back({scan.alias, col.name, col.type, &col});
-  }
-  return FinishGroups(stmt, schema, CollectAggregateNodes(stmt),
-                      std::move(groups), rewriter);
+  return FinishGroups(stmt, SchemaOf(scan.table->def(), scan.alias),
+                      CollectAggregateNodes(stmt), std::move(groups),
+                      rewriter);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -28,11 +29,21 @@ struct ColumnBinding {
   const ColumnDef* def = nullptr;  // source column definition (may be null)
 };
 
+/// The bindings of `def`'s columns under `alias`, in column order.
+std::vector<ColumnBinding> SchemaOf(const TableDef& def,
+                                    const std::string& alias);
+
+/// Schema slots of column-reference nodes, memoised for one scan over one
+/// schema (see RowFilter).
+using ColumnSlots = std::vector<std::pair<const Expr*, size_t>>;
+
 /// Expression evaluation environment: a schema plus (optionally) a current
-/// row. INSERT value lists evaluate with `row == nullptr`.
+/// row. INSERT value lists evaluate with `row == nullptr`. Column
+/// references resolve through `slots` when set, by name otherwise.
 struct EvalEnv {
   const std::vector<ColumnBinding>* schema = nullptr;
   const Row* row = nullptr;
+  ColumnSlots* slots = nullptr;
 };
 
 /// Evaluates a scalar expression. SQL three-valued logic is approximated:
@@ -46,6 +57,39 @@ Result<Value> EvalBinary(Expr::Op op, const Value& lhs, const Value& rhs);
 
 /// Truthiness of a predicate result (NULL and false both reject).
 bool IsTruthy(const Value& value);
+
+/// A conjunction evaluated on rows of one schema, in place: column and
+/// literal operands are read by reference, and each column reference
+/// resolves on first use, once for the filter's lifetime (a failed
+/// resolution is not memoised, so it fails again with the same message).
+/// Conjuncts run in order and stop at the first non-TRUE one; a null
+/// conjunct (an absent WHERE) accepts every row. The filter points at
+/// `schema` and `conjuncts`, which must outlive it.
+class RowFilter {
+ public:
+  RowFilter(const std::vector<ColumnBinding>& schema,
+            const std::vector<const Expr*>& conjuncts)
+      : schema_(&schema), conjuncts_(&conjuncts) {}
+
+  /// True when `row` satisfies every conjunct; else false, or the first
+  /// evaluation error.
+  Result<bool> Passes(const Row& row);
+
+ private:
+  const std::vector<ColumnBinding>* schema_;
+  const std::vector<const Expr*>* conjuncts_;
+  ColumnSlots slots_;
+};
+
+/// The filtered table scan shared by SELECT, UPDATE and DELETE: visits the
+/// rows of `table` in RowId order, evaluates `conjuncts` on each stored
+/// row (see RowFilter) and calls `fn` on the survivors only. The first
+/// evaluation error, or the first error `fn` returns, ends the scan and
+/// is returned.
+Status ForEachMatchingRow(
+    const Table& table, const std::vector<ColumnBinding>& schema,
+    const std::vector<const Expr*>& conjuncts,
+    const std::function<Status(RowId, const Row&)>& fn);
 
 /// Resolves tables by name for the executor.
 using TableLookup =

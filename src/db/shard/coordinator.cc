@@ -824,51 +824,38 @@ Result<QueryResult> ShardCoordinator::RunScatter(
       return;
     }
     const Table* table = *src;
-    std::vector<ColumnBinding> schema;
-    for (const ColumnDef& col : table->def().columns) {
-      schema.push_back({alias, col.name, col.type, &col});
-    }
+    const std::vector<ColumnBinding> schema = SchemaOf(table->def(), alias);
     const size_t pk_index = state.pk_index;
     const bool per_row_seq = state.order_dirty;
-    table->ForEachRow([&](RowId, const Row& row) {
-      if (!out.status.ok()) return;
-      EvalEnv env{&schema, &row};
-      if (stmt.where != nullptr) {
-        Result<Value> cond = EvalExpr(*stmt.where, env);
-        if (!cond.ok()) {
-          out.status = cond.status();
-          return;
-        }
-        if (!IsTruthy(*cond)) return;
-      }
-      ++out.matched;
-      std::string key;
-      for (const auto& group_expr : stmt.group_by) {
-        Result<Value> v = EvalExpr(*group_expr, env);
-        if (!v.ok()) {
-          out.status = v.status();
-          return;
-        }
-        PutLengthPrefixed(&key, v->ToKeyString());
-      }
-      auto [it, inserted] = out.groups.try_emplace(key);
-      PartialGroup& partial = it->second;
-      if (inserted) {
-        partial.group.aggs.resize(a.agg_nodes.size());
-        out.bytes += key.size() + 48 * a.agg_nodes.size();
-      }
-      // Shard-local RowId order refines global insertion order unless a
-      // migration dirtied it; then every row's sequence is looked up.
-      if (inserted || per_row_seq) {
-        uint64_t seq = SeqOf(state, row[pk_index]);
-        if (inserted || seq < partial.first_seq) {
-          partial.first_seq = seq;
-          partial.group.first_row = row;
-          if (inserted) out.bytes += ApproxRowBytes(row);
-        }
-      }
-      AccumulateRow(a.agg_nodes, env, &partial.group);
-    });
+    out.status = ForEachMatchingRow(
+        *table, schema, {stmt.where.get()},
+        [&](RowId, const Row& row) -> Status {
+          ++out.matched;
+          EvalEnv env{&schema, &row};
+          std::string key;
+          for (const auto& group_expr : stmt.group_by) {
+            EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*group_expr, env));
+            PutLengthPrefixed(&key, v.ToKeyString());
+          }
+          auto [it, inserted] = out.groups.try_emplace(key);
+          PartialGroup& partial = it->second;
+          if (inserted) {
+            partial.group.aggs.resize(a.agg_nodes.size());
+            out.bytes += key.size() + 48 * a.agg_nodes.size();
+          }
+          // Shard-local RowId order refines global insertion order unless
+          // a migration dirtied it; then every row's sequence is looked up.
+          if (inserted || per_row_seq) {
+            uint64_t seq = SeqOf(state, row[pk_index]);
+            if (inserted || seq < partial.first_seq) {
+              partial.first_seq = seq;
+              partial.group.first_row = row;
+              if (inserted) out.bytes += ApproxRowBytes(row);
+            }
+          }
+          AccumulateRow(a.agg_nodes, env, &partial.group);
+          return Status::OK();
+        });
   };
 
   std::vector<size_t> to_scan;
@@ -951,10 +938,7 @@ Result<QueryResult> ShardCoordinator::RunScatter(
   std::vector<AggGroup> groups;
   groups.reserve(ordered.size());
   for (PartialGroup* m : ordered) groups.push_back(std::move(m->group));
-  std::vector<ColumnBinding> schema;
-  for (const ColumnDef& col : def.columns) {
-    schema.push_back({alias, col.name, col.type, &col});
-  }
+  const std::vector<ColumnBinding> schema = SchemaOf(def, alias);
   return FinishGroups(stmt, schema, a.agg_nodes, std::move(groups), nullptr);
 }
 
@@ -1363,10 +1347,7 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
   auto pit = part_.find(ToUpper(def.name));
   PartState* state = pit == part_.end() ? nullptr : &pit->second;
 
-  std::vector<ColumnBinding> schema;
-  for (const ColumnDef& col : def.columns) {
-    schema.push_back({def.name, col.name, col.type, &col});
-  }
+  const std::vector<ColumnBinding> schema = SchemaOf(def, def.name);
   std::vector<std::pair<size_t, const Expr*>> sets;
   for (const auto& [col, expr] : stmt.assignments) {
     EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col));
@@ -1391,26 +1372,16 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
   size_t scan_shards = state != nullptr ? shards_.size() : 1;
   for (size_t s = 0; s < scan_shards; ++s) {
     EASIA_ASSIGN_OR_RETURN(const Table* table, ShardTable(s, def.name));
-    Status scan_status = Status::OK();
-    table->ForEachRow([&](RowId id, const Row& row) {
-      if (!scan_status.ok()) return;
-      if (stmt.where != nullptr) {
-        EvalEnv env{&schema, &row};
-        Result<Value> cond = EvalExpr(*stmt.where, env);
-        if (!cond.ok()) {
-          scan_status = cond.status();
-          return;
-        }
-        if (!IsTruthy(*cond)) return;
-      }
-      Target target;
-      target.shard = s;
-      target.seq = state != nullptr ? SeqOf(*state, row[state->pk_index])
-                                    : static_cast<uint64_t>(id);
-      target.old_row = row;
-      targets.push_back(std::move(target));
-    });
-    EASIA_RETURN_IF_ERROR(scan_status);
+    EASIA_RETURN_IF_ERROR(ForEachMatchingRow(
+        *table, schema, {stmt.where.get()}, [&](RowId id, const Row& row) {
+          Target target;
+          target.shard = s;
+          target.seq = state != nullptr ? SeqOf(*state, row[state->pk_index])
+                                        : static_cast<uint64_t>(id);
+          target.old_row = row;
+          targets.push_back(std::move(target));
+          return Status::OK();
+        }));
   }
   std::stable_sort(targets.begin(), targets.end(),
                    [](const Target& x, const Target& y) {
@@ -1537,10 +1508,7 @@ Result<QueryResult> ShardCoordinator::ExecDelete(const DeleteStmt& stmt,
   auto pit = part_.find(ToUpper(def.name));
   PartState* state = pit == part_.end() ? nullptr : &pit->second;
 
-  std::vector<ColumnBinding> schema;
-  for (const ColumnDef& col : def.columns) {
-    schema.push_back({def.name, col.name, col.type, &col});
-  }
+  const std::vector<ColumnBinding> schema = SchemaOf(def, def.name);
   struct Target {
     uint64_t seq = 0;
     Row row;
@@ -1549,25 +1517,15 @@ Result<QueryResult> ShardCoordinator::ExecDelete(const DeleteStmt& stmt,
   size_t scan_shards = state != nullptr ? shards_.size() : 1;
   for (size_t s = 0; s < scan_shards; ++s) {
     EASIA_ASSIGN_OR_RETURN(const Table* table, ShardTable(s, def.name));
-    Status scan_status = Status::OK();
-    table->ForEachRow([&](RowId id, const Row& row) {
-      if (!scan_status.ok()) return;
-      if (stmt.where != nullptr) {
-        EvalEnv env{&schema, &row};
-        Result<Value> cond = EvalExpr(*stmt.where, env);
-        if (!cond.ok()) {
-          scan_status = cond.status();
-          return;
-        }
-        if (!IsTruthy(*cond)) return;
-      }
-      Target target;
-      target.seq = state != nullptr ? SeqOf(*state, row[state->pk_index])
-                                    : static_cast<uint64_t>(id);
-      target.row = row;
-      targets.push_back(std::move(target));
-    });
-    EASIA_RETURN_IF_ERROR(scan_status);
+    EASIA_RETURN_IF_ERROR(ForEachMatchingRow(
+        *table, schema, {stmt.where.get()}, [&](RowId id, const Row& row) {
+          Target target;
+          target.seq = state != nullptr ? SeqOf(*state, row[state->pk_index])
+                                        : static_cast<uint64_t>(id);
+          target.row = row;
+          targets.push_back(std::move(target));
+          return Status::OK();
+        }));
   }
   std::stable_sort(targets.begin(), targets.end(),
                    [](const Target& x, const Target& y) {

@@ -44,8 +44,9 @@ std::vector<std::string> NativeRegistry::Names() const {
 }
 
 size_t GridFromFileBytes(uint64_t bytes) {
-  if (bytes <= 64) return 0;
-  double n = std::cbrt(static_cast<double>(bytes - 64) / 32.0);
+  if (bytes <= turb::kTbfHeaderBytes) return 0;
+  double n =
+      std::cbrt(static_cast<double>(bytes - turb::kTbfHeaderBytes) / 32.0);
   return static_cast<size_t>(n + 0.5);
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/string_util.h"
+#include "turbulence/tbf.h"
 
 namespace easia::turb {
 
@@ -247,7 +248,7 @@ double Field::MaxVorticity() const {
 }
 
 uint64_t Field::FileBytes(size_t n) {
-  return 64 + 4ULL * n * n * n * sizeof(double);
+  return kTbfHeaderBytes + 4ULL * n * n * n * sizeof(double);
 }
 
 }  // namespace easia::turb

@@ -115,7 +115,8 @@ class Field {
   /// Maximum vorticity magnitude (central differences, periodic wrap).
   double MaxVorticity() const;
 
-  /// Bytes of a materialised n³ 4-component double field plus header.
+  /// Bytes of the TBF file of an n³ field: header plus four components
+  /// of n³ doubles (what SerializeTbf writes).
   static uint64_t FileBytes(size_t n);
 
  private:

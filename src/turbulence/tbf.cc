@@ -13,8 +13,6 @@ namespace easia::turb {
 namespace {
 
 constexpr std::string_view kMagic = "TBF1";
-/// Magic, then u32 n, u32 timestep, f64 time, f64 nu.
-constexpr size_t kHeaderBytes = 4 + 24;
 constexpr Component kComponents[] = {Component::kU, Component::kV,
                                      Component::kW, Component::kP};
 
@@ -56,14 +54,14 @@ std::string SerializeTbf(const Field& field, uint32_t timestep) {
   size_t n = field.n();
   size_t component_bytes = n * n * n * sizeof(double);
   std::string out;
-  out.reserve(kHeaderBytes + 4 * component_bytes);
+  out.reserve(kTbfHeaderBytes + 4 * component_bytes);
   out += kMagic;
   PutU32(&out, static_cast<uint32_t>(n));
   PutU32(&out, timestep);
   PutDouble(&out, field.time());
   PutDouble(&out, field.nu());
-  out.resize(kHeaderBytes + 4 * component_bytes);
-  char* dst = out.data() + kHeaderBytes;
+  out.resize(kTbfHeaderBytes + 4 * component_bytes);
+  char* dst = out.data() + kTbfHeaderBytes;
   for (Component c : kComponents) {
     EncodeDoubles(field.Values(c), dst);
     dst += component_bytes;
@@ -72,7 +70,7 @@ std::string SerializeTbf(const Field& field, uint32_t timestep) {
 }
 
 Result<TbfHeader> ParseTbfHeader(std::string_view bytes) {
-  if (bytes.size() < kHeaderBytes ||
+  if (bytes.size() < kTbfHeaderBytes ||
       bytes.substr(0, kMagic.size()) != kMagic) {
     return Status::Corruption("not a TBF file");
   }
@@ -92,16 +90,16 @@ Result<Field> ParseTbf(std::string_view bytes) {
   // n is a u32, so n*n fits; n*n*n and the byte total may not, and a
   // wrapped total must not pass the size check below.
   if (n != 0 && (count / (n * n) != n ||
-                 count > (SIZE_MAX - kHeaderBytes) / (4 * sizeof(double)))) {
+                 count > (SIZE_MAX - kTbfHeaderBytes) / (4 * sizeof(double)))) {
     return Status::Corruption(StrPrintf("TBF grid too large: n=%zu", n));
   }
-  size_t expected = kHeaderBytes + 4 * count * sizeof(double);
+  size_t expected = kTbfHeaderBytes + 4 * count * sizeof(double);
   if (bytes.size() != expected) {
     return Status::Corruption(
         StrPrintf("TBF size mismatch: got %zu, want %zu", bytes.size(),
                   expected));
   }
-  const char* src = bytes.data() + kHeaderBytes;
+  const char* src = bytes.data() + kTbfHeaderBytes;
   Field::Samples parts[4];
   for (Field::Samples& part : parts) {
     part = DecodeDoubles(src, count);

@@ -9,6 +9,9 @@
 
 namespace easia::turb {
 
+/// Bytes of a TBF header: magic, then u32 n, u32 timestep, f64 time, f64 nu.
+constexpr uint64_t kTbfHeaderBytes = 4 + 24;
+
 /// TBF — "Turbulence Binary Format", this repo's stand-in for the
 /// consortium's unmodified solver output files. Layout (little endian):
 ///   magic "TBF1" | u32 n | u32 timestep | f64 time | f64 nu |

@@ -1,7 +1,8 @@
 // Edge cases of the SQL executor: multi-column grouping, star expansion,
 // coercions, NULL corner cases, self-referential FKs, the SQL/MED
 // rewrite hook observed through a fake coordinator, ORDER BY positions in
-// aggregate queries, and hand-computed AggState goldens.
+// aggregate queries, hand-computed AggState goldens, and the scan filter
+// (WHERE on stored rows) across row, columnar, sharded and naive paths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,8 +12,10 @@
 
 #include "db/aggregate.h"
 #include "db/database.h"
+#include "db/parser.h"
 #include "db/shard/coordinator.h"
 #include "sim/network.h"
+#include "testing/naive_executor.h"
 
 namespace easia::db {
 namespace {
@@ -614,6 +617,278 @@ TEST(AggStateTest, SplitAndMergeMatchesOnePass) {
       }
     }
   }
+}
+
+}  // namespace
+}  // namespace easia::db
+
+namespace easia::db {
+namespace {
+
+// ---------------------------------------------------------------------------
+// Scan filter: WHERE evaluated on the stored rows, operands by reference
+// ---------------------------------------------------------------------------
+
+/// Rows of a query result, or its error; DML reports its affected count.
+std::string Outcome(const Result<QueryResult>& r) {
+  if (!r.ok()) return "error: " + r.status().ToString();
+  if (r->column_names.empty()) {
+    return "affected " + std::to_string(r->rows_affected);
+  }
+  return Rows(r);
+}
+
+const char* const kScanTable =
+    "CREATE TABLE S (ID INTEGER PRIMARY KEY, TIMESTEP INTEGER, X INTEGER,"
+    " D DOUBLE, NAME VARCHAR(80),"
+    " LINK DATALINK LINKTYPE URL NO FILE LINK CONTROL)";
+
+/// Six rows; every string operand but 'short' is past the inline-string
+/// size, and X, D, NAME and LINK each hold a NULL somewhere.
+const char* const kScanRows[] = {
+    "(1, 0, 1, 1.0, 'simulation-run-0001/timestep-0000.tbf',"
+    " 'http://fs0.example.org/archive/run-0001/t0000.tbf')",
+    "(2, 1, 2, 2.5, 'simulation-run-0001/timestep-0001.tbf',"
+    " 'http://fs1.example.org/archive/run-0001/t0001.tbf')",
+    "(3, 2, NULL, 3.0, NULL, NULL)",
+    "(4, 3, 4, NULL, 'simulation-run-0002/timestep-0000.tbf',"
+    " 'http://fs1.example.org/archive/run-0002/t0000.tbf')",
+    "(5, 4, 5, 5.0, 'short',"
+    " 'http://fs0.example.org/archive/run-0002/t0001.tbf')",
+    "(6, 5, 6, 6.5, 'simulation-run-0002/timestep-0002.tbf', NULL)",
+};
+
+/// The same table S behind a row-store database, a columnar one and a
+/// 4-shard coordinator; the naive executor reads the row store.
+class ScanFilterTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (const std::string& h : hosts_) net_.AddHost({h, 50.0, 4});
+    shard::ShardOptions options;
+    options.coordinator_host = "web";
+    for (const std::string& a : hosts_) {
+      for (const std::string& b : hosts_) {
+        if (a != b) {
+          net_.AddLink(a, b, sim::BandwidthSchedule::Constant(100.0), 0.001);
+        }
+      }
+      if (a != "web") options.shard_hosts.push_back(a);
+    }
+    coord_ = std::make_unique<shard::ShardCoordinator>(&net_, options);
+    Create(rows_, std::string(kScanTable));
+    Create(columnar_, std::string(kScanTable) + " STORE COLUMNAR");
+    Result<QueryResult> r = coord_->Execute(
+        std::string(kScanTable) + " PARTITION BY HASH(ID) PARTITIONS 4");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+
+  static void Create(Database& db, const std::string& ddl) {
+    Result<QueryResult> r = db.Execute(ddl);
+    ASSERT_TRUE(r.ok()) << ddl << " -> " << r.status().ToString();
+  }
+
+  void Fill() {
+    for (const char* values : kScanRows) Each("INSERT INTO S VALUES " +
+                                              std::string(values));
+  }
+
+  /// Runs `sql` on all three stores; expects every one to succeed.
+  void Each(const std::string& sql) {
+    for (const std::string& o : Outcomes(sql)) {
+      ASSERT_EQ(o.rfind("error", 0), std::string::npos) << sql << ": " << o;
+    }
+  }
+
+  /// `sql`'s outcome on the row store, the columnar store and the shards.
+  std::vector<std::string> Outcomes(const std::string& sql) {
+    return {Outcome(rows_.Execute(sql)), Outcome(columnar_.Execute(sql)),
+            Outcome(coord_->Execute(sql))};
+  }
+
+  /// The naive executor's outcome for a SELECT over the row store.
+  std::string Naive(const std::string& sql) {
+    Result<Statement> stmt = ParseSql(sql);
+    EXPECT_TRUE(stmt.ok() && stmt->kind == Statement::Kind::kSelect) << sql;
+    if (!stmt.ok()) return "";
+    TableLookup lookup = [this](const std::string& name) {
+      return rows_.GetTable(name);
+    };
+    return Outcome(easia::testing::ExecuteSelectNaive(*stmt->select, lookup));
+  }
+
+  /// Expects the three stores and the naive executor to agree on `sql`,
+  /// and returns that outcome.
+  std::string Agreed(const std::string& sql) {
+    std::string naive = Naive(sql);
+    std::vector<std::string> got = Outcomes(sql);
+    EXPECT_EQ(got[0], naive) << "row store: " << sql;
+    EXPECT_EQ(got[1], naive) << "columnar: " << sql;
+    EXPECT_EQ(got[2], naive) << "sharded: " << sql;
+    return naive;
+  }
+
+  /// Expects DML `sql` to give `expected` on every store.
+  void ExpectDml(const std::string& sql, const std::string& expected) {
+    std::vector<std::string> got = Outcomes(sql);
+    EXPECT_EQ(got[0], expected) << "row store: " << sql;
+    EXPECT_EQ(got[1], expected) << "columnar: " << sql;
+    EXPECT_EQ(got[2], expected) << "sharded: " << sql;
+  }
+
+  const std::vector<std::string> hosts_ = {"web", "s0", "s1", "s2", "s3"};
+  sim::Network net_;
+  Database rows_{"ROWS"};
+  Database columnar_{"COLS"};
+  std::unique_ptr<shard::ShardCoordinator> coord_;
+};
+
+TEST_F(ScanFilterTest, ErrorOnOneRowFailsEveryStatementAndChangesNothing) {
+  Fill();
+  const std::string all = "SELECT ID, X FROM S ORDER BY ID";
+  const std::string before = Agreed(all);
+  // Only TIMESTEP = 3 (the fourth row) divides by zero.
+  const std::string where = " WHERE 10 / (TIMESTEP - 3) > 0";
+  const std::string error = "error: invalid argument: division by zero";
+  EXPECT_EQ(Agreed("SELECT ID FROM S" + where), error);
+  ExpectDml("UPDATE S SET X = 99" + where, error);
+  ExpectDml("DELETE FROM S" + where, error);
+  EXPECT_EQ(Agreed(all), before);
+  // Behind a passing conjunct the predicate still fails.
+  EXPECT_EQ(Agreed("SELECT ID FROM S WHERE ID > 0 AND 10 / (TIMESTEP - 3) > 0"),
+            error);
+  // Behind a failing one, a SELECT scan never evaluates it: the planner
+  // splits WHERE at its ANDs and a row stops at its first non-TRUE
+  // conjunct. The naive oracle and DML evaluate the whole WHERE as one
+  // expression, whose AND evaluates both sides, so they still fail.
+  const std::string guarded =
+      " WHERE TIMESTEP < 3 AND 10 / (TIMESTEP - 3) < 0";
+  EXPECT_EQ(Outcomes("SELECT ID FROM S" + guarded + " ORDER BY ID"),
+            std::vector<std::string>(3, "1|2|3|"));
+  EXPECT_EQ(Naive("SELECT ID FROM S" + guarded), error);
+  ExpectDml("UPDATE S SET X = 99" + guarded, error);
+  ExpectDml("DELETE FROM S" + guarded, error);
+  EXPECT_EQ(Agreed(all), before);
+}
+
+TEST_F(ScanFilterTest, UnknownColumnFailsOnlyOnAnEvaluatedRow) {
+  const std::string select = "SELECT ID FROM S WHERE NOPE = 1";
+  EXPECT_EQ(Agreed(select), "");
+  ExpectDml("UPDATE S SET X = 1 WHERE NOPE = 1", "affected 0");
+  ExpectDml("DELETE FROM S WHERE NOPE = 1", "affected 0");
+  Fill();
+  const std::string error = "error: not found: unknown column: NOPE";
+  EXPECT_EQ(Agreed(select), error);
+  ExpectDml("UPDATE S SET X = 1 WHERE NOPE = 1", error);
+  ExpectDml("DELETE FROM S WHERE NOPE = 1", error);
+  EXPECT_EQ(Agreed("SELECT ID FROM S WHERE S.NOPE = 1"),
+            "error: not found: unknown column: S.NOPE");
+}
+
+TEST_F(ScanFilterTest, UpdateReadingItsOwnColumnTouchesEachRowOnce) {
+  Fill();
+  ExpectDml("UPDATE S SET X = X + 1 WHERE X > 0", "affected 5");
+  EXPECT_EQ(Agreed("SELECT ID, X FROM S ORDER BY ID"),
+            "1 2|2 3|3 NULL|4 5|5 6|6 7|");
+  ExpectDml("DELETE FROM S WHERE X > 5", "affected 2");
+  EXPECT_EQ(Agreed("SELECT ID FROM S ORDER BY ID"), "1|2|3|4|");
+}
+
+TEST_F(ScanFilterTest, ExplainAnalyzeCountsSurvivors) {
+  Fill();
+  // TIMESTEP > 3 runs the columnar filter kernel; the others filter
+  // stored rows on both stores.
+  const std::pair<const char*, int> cases[] = {
+      {"TIMESTEP > 3", 2}, {"X + 1 > 4", 3}, {"NAME LIKE '%0000.tbf'", 2}};
+  for (Database* db : {&rows_, &columnar_}) {
+    for (const auto& [where, survivors] : cases) {
+      Result<QueryResult> r =
+          db->Execute(std::string("EXPLAIN ANALYZE SELECT * FROM S WHERE ") +
+                      where);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_FALSE(r->rows.empty());
+      const std::string scan = r->rows[0][0].AsString();
+      EXPECT_NE(scan.find("seq scan"), std::string::npos) << scan;
+      EXPECT_NE(scan.find("actual rows=" + std::to_string(survivors) + ","),
+                std::string::npos)
+          << db->name() << ": " << scan;
+    }
+  }
+  // Sharded: the per-shard scan counts sum to the survivors.
+  Result<QueryResult> r =
+      coord_->Execute("EXPLAIN ANALYZE SELECT COUNT(*) FROM S WHERE "
+                      "TIMESTEP > 3");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  int64_t total = 0;
+  for (const Row& row : r->rows) {
+    const std::string line = row[0].AsString();
+    size_t at = line.find("actual rows=");
+    if (at != std::string::npos) total += std::stoll(line.substr(at + 12));
+  }
+  EXPECT_EQ(total, 2);
+}
+
+TEST_F(ScanFilterTest, OperandsReadInPlaceMatchTheOracle) {
+  Fill();
+  const char* const wheres[] = {
+      // Long VARCHAR and DATALINK operands, on either side.
+      "NAME = 'simulation-run-0002/timestep-0000.tbf'",
+      "'simulation-run-0001/timestep-0001.tbf' = NAME",
+      "NAME > 'simulation-run-0001/timestep-0001.tbf'",
+      "NAME LIKE 'simulation-run-0002%'",
+      "NAME NOT LIKE '%0000.tbf'",
+      "LINK = 'http://fs1.example.org/archive/run-0002/t0000.tbf'",
+      "LINK LIKE 'http://fs0.%'",
+      "NAME IN ('short', 'simulation-run-0002/timestep-0002.tbf')",
+      "UPPER(NAME) LIKE 'SIMULATION-RUN-0001%'",
+      "LENGTH(LINK) > 20",
+      // NULL operands.
+      "X > NULL",
+      "NULL = NULL",
+      "D IS NULL",
+      "NAME IS NOT NULL",
+      "NAME <> 'short'",
+      "NOT (X > 2)",
+      "X IN (1, NULL, 4)",
+      "X NOT IN (1, NULL)",
+      "COALESCE(D, X) > 3",
+      "X > 1 OR D > 6",
+      "X > 1 AND D < 6",
+      // Mixed INTEGER / DOUBLE.
+      "X = D",
+      "X < D",
+      "D >= 3",
+      "X = 2.0",
+      "D = 1",
+      "X + D > 5",
+      "X * 1.5 = 3",
+      "X * 2 > D + 2",
+      "-X < -4",
+      // Column against column of the same row, and a bare column.
+      "TIMESTEP + 1 = X",
+      "X",
+  };
+  for (const char* where : wheres) {
+    SCOPED_TRACE(where);
+    Agreed(std::string("SELECT ID FROM S WHERE ") + where + " ORDER BY ID");
+  }
+  EXPECT_EQ(Agreed("SELECT ID FROM S WHERE NAME LIKE 'simulation-run-0002%'"
+                   " ORDER BY ID"),
+            "4|6|");
+  EXPECT_EQ(Agreed("SELECT ID FROM S WHERE X = D ORDER BY ID"), "1|5|");
+  EXPECT_EQ(Agreed("SELECT ID FROM S WHERE X IN (1, NULL, 4) ORDER BY ID"),
+            "1|4|");
+  // An IN list stops at its first match, so rows look up columns in
+  // different orders: the first row never reaches TIMESTEP, the third
+  // (X is NULL) does, where the first row looked up D.
+  EXPECT_EQ(Agreed("SELECT ID FROM S WHERE ID IN (X, TIMESTEP) AND D > 2"
+                   " ORDER BY ID"),
+            "2|5|6|");
+  // DML over the same operand kinds removes what the SELECT matched.
+  ExpectDml("DELETE FROM S WHERE LINK LIKE 'http://fs1.%'", "affected 2");
+  ExpectDml("UPDATE S SET D = 0 WHERE NAME = 'short' OR D IS NULL",
+            "affected 1");
+  EXPECT_EQ(Agreed("SELECT ID, D FROM S ORDER BY ID"),
+            "1 1|3 3|5 0|6 6.5|");
 }
 
 }  // namespace

@@ -133,6 +133,18 @@ TEST(GridFromFileBytesTest, InvertsFileBytes) {
   EXPECT_EQ(GridFromFileBytes(10), 0u);
 }
 
+TEST(GridFromFileBytesTest, InvertsTheSerializedSize) {
+  for (size_t n : {1u, 2u, 8u, 32u, 64u, 200u}) {
+    EXPECT_EQ(GridFromFileBytes(turb::Field::FileBytes(n)), n) << n;
+  }
+  // FileBytes is the size of the file SerializeTbf writes.
+  for (size_t n : {1u, 2u, 8u}) {
+    turb::Field field = turb::Field::Generate(n, 0.0, 0.01);
+    EXPECT_EQ(turb::SerializeTbf(field, 0).size(), turb::Field::FileBytes(n))
+        << n;
+  }
+}
+
 // ---- OperationEngine end to end ----
 
 class EngineTest : public ::testing::Test {

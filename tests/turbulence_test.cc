@@ -133,7 +133,7 @@ TEST(TbfTest, HeaderRoundTrip) {
 TEST(TbfTest, FullRoundTrip) {
   Field field = Field::Generate(8, 0.5, 0.01);
   std::string bytes = SerializeTbf(field, 3);
-  EXPECT_EQ(bytes.size(), Field::FileBytes(8) - 64 + 28);  // header is 28B
+  EXPECT_EQ(bytes.size(), Field::FileBytes(8));
   auto back = ParseTbf(bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->n(), 8u);
