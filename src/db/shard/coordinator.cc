@@ -1360,39 +1360,14 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
     }
   }
 
-  // Materialise targets across shards in global insertion order —
-  // identical to the order a single-node full scan visits them in.
-  struct Target {
-    size_t shard = 0;
-    uint64_t seq = 0;
-    Row old_row;
-    Row new_row;
-  };
-  std::vector<Target> targets;
-  size_t scan_shards = state != nullptr ? shards_.size() : 1;
-  for (size_t s = 0; s < scan_shards; ++s) {
-    EASIA_ASSIGN_OR_RETURN(const Table* table, ShardTable(s, def.name));
-    EASIA_RETURN_IF_ERROR(ForEachMatchingRow(
-        *table, schema, {stmt.where.get()}, [&](RowId id, const Row& row) {
-          Target target;
-          target.shard = s;
-          target.seq = state != nullptr ? SeqOf(*state, row[state->pk_index])
-                                        : static_cast<uint64_t>(id);
-          target.old_row = row;
-          targets.push_back(std::move(target));
-          return Status::OK();
-        }));
-  }
-  std::stable_sort(targets.begin(), targets.end(),
-                   [](const Target& x, const Target& y) {
-                     return x.seq < y.seq;
-                   });
+  EASIA_ASSIGN_OR_RETURN(std::vector<DmlTarget> targets,
+                         MatchingRows(def, state, stmt.where.get()));
 
   // Validate sequentially in that order, tracking pk keys vacated and
   // taken by earlier targets — mirrors single-node row-at-a-time apply.
   std::set<std::string> vacated;
   std::set<std::string> taken;
-  for (Target& target : targets) {
+  for (DmlTarget& target : targets) {
     Row new_row = target.old_row;
     EvalEnv env{&schema, &target.old_row};
     for (const auto& [idx, expr] : sets) {
@@ -1459,7 +1434,7 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
   // the global sequence carried over (the row keeps its logical position,
   // like a single-node UPDATE keeps its RowId).
   size_t affected = 0;
-  for (Target& target : targets) {
+  for (DmlTarget& target : targets) {
     const Value& old_pk = target.old_row[state->pk_index];
     const Value& new_pk = target.new_row[state->pk_index];
     size_t destination = ShardOfValue(*state, new_pk);
@@ -1498,6 +1473,30 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
   return DmlResult(affected);
 }
 
+Result<std::vector<ShardCoordinator::DmlTarget>>
+ShardCoordinator::MatchingRows(const TableDef& def, const PartState* state,
+                               const Expr* where) {
+  const std::vector<ColumnBinding> schema = SchemaOf(def, def.name);
+  std::vector<DmlTarget> targets;
+  size_t scan_shards = state != nullptr ? shards_.size() : 1;
+  for (size_t s = 0; s < scan_shards; ++s) {
+    EASIA_ASSIGN_OR_RETURN(const Table* table, ShardTable(s, def.name));
+    EASIA_RETURN_IF_ERROR(ForEachMatchingRow(
+        *table, schema, {where}, [&](RowId id, const Row& row) {
+          uint64_t seq = state != nullptr
+                             ? SeqOf(*state, row[state->pk_index])
+                             : static_cast<uint64_t>(id);
+          targets.push_back({s, seq, row, {}});
+          return Status::OK();
+        }));
+  }
+  std::stable_sort(targets.begin(), targets.end(),
+                   [](const DmlTarget& x, const DmlTarget& y) {
+                     return x.seq < y.seq;
+                   });
+  return targets;
+}
+
 Result<QueryResult> ShardCoordinator::ExecDelete(const DeleteStmt& stmt,
                                                  std::string_view sql,
                                                  const ExecContext& ctx) {
@@ -1508,37 +1507,18 @@ Result<QueryResult> ShardCoordinator::ExecDelete(const DeleteStmt& stmt,
   auto pit = part_.find(ToUpper(def.name));
   PartState* state = pit == part_.end() ? nullptr : &pit->second;
 
-  const std::vector<ColumnBinding> schema = SchemaOf(def, def.name);
-  struct Target {
-    uint64_t seq = 0;
-    Row row;
-  };
-  std::vector<Target> targets;
-  size_t scan_shards = state != nullptr ? shards_.size() : 1;
-  for (size_t s = 0; s < scan_shards; ++s) {
-    EASIA_ASSIGN_OR_RETURN(const Table* table, ShardTable(s, def.name));
-    EASIA_RETURN_IF_ERROR(ForEachMatchingRow(
-        *table, schema, {stmt.where.get()}, [&](RowId id, const Row& row) {
-          Target target;
-          target.seq = state != nullptr ? SeqOf(*state, row[state->pk_index])
-                                        : static_cast<uint64_t>(id);
-          target.row = row;
-          targets.push_back(std::move(target));
-          return Status::OK();
-        }));
-  }
-  std::stable_sort(targets.begin(), targets.end(),
-                   [](const Target& x, const Target& y) {
-                     return x.seq < y.seq;
-                   });
+  EASIA_ASSIGN_OR_RETURN(std::vector<DmlTarget> targets,
+                         MatchingRows(def, state, stmt.where.get()));
   // RESTRICT checks in global order: a single-node DELETE removes rows
   // one at a time, so a child deleted earlier in the same statement no
   // longer blocks its parent.
   std::set<std::string> deleted_keys;
-  for (const Target& target : targets) {
+  for (const DmlTarget& target : targets) {
     EASIA_RETURN_IF_ERROR(
-        CheckNoChildren(def, target.row, nullptr, deleted_keys));
-    if (!def.primary_key.empty()) deleted_keys.insert(PkKey(def, target.row));
+        CheckNoChildren(def, target.old_row, nullptr, deleted_keys));
+    if (!def.primary_key.empty()) {
+      deleted_keys.insert(PkKey(def, target.old_row));
+    }
   }
   size_t affected = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {

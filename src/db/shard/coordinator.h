@@ -211,6 +211,20 @@ class ShardCoordinator {
                                  const ExecContext& ctx);
   Result<QueryResult> ExecDelete(const DeleteStmt& stmt, std::string_view sql,
                                  const ExecContext& ctx);
+  /// A row an UPDATE or DELETE matched: its shard, its global insertion
+  /// sequence, its contents and (UPDATE only) the row it becomes.
+  struct DmlTarget {
+    size_t shard = 0;
+    uint64_t seq = 0;
+    Row old_row;
+    Row new_row;
+  };
+  /// Rows of `def` matching `where` across the shards that hold it, in
+  /// global insertion order — the order a single-node full scan visits
+  /// them in.
+  Result<std::vector<DmlTarget>> MatchingRows(const TableDef& def,
+                                              const PartState* state,
+                                              const Expr* where);
   Result<QueryResult> ExecDdl(const Statement& stmt, std::string_view sql,
                               const ExecContext& ctx);
   Result<QueryResult> ExecCopy(const CopyStmt& stmt, std::string_view sql,
